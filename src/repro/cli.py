@@ -8,9 +8,7 @@ Two observability subcommands sit beside the experiments (see
 ``docs/OBSERVABILITY.md``):
 
 * ``repro run <workload>`` — simulate a scaled-down copy of a Table II
-  workload once and print its timing/counter summary; ``--shards N`` runs
-  the per-GPM sharded engine (bit-identical results, see
-  ``docs/PERFORMANCE.md``).
+  workload once and print its timing/counter summary.
 * ``repro trace <workload>`` — simulate a scaled-down copy of a Table II
   workload with the Chrome tracer attached and write a ``trace_event`` JSON
   file viewable at https://ui.perfetto.dev.
@@ -301,47 +299,22 @@ def _print_sleep_residency(residency) -> None:
 
 
 def _run_main(argv: list[str]) -> int:
-    """``repro run``: simulate one scaled-down workload, optionally sharded."""
+    """``repro run``: simulate one scaled-down workload."""
     from repro.gpu.simulator import simulate
 
     parser = argparse.ArgumentParser(
         prog="repro run",
         description=(
             "Simulate a scaled-down workload once and print its timing and"
-            " counter summary.  --shards N runs the per-GPM sharded engine"
-            " (bit-identical results; see docs/PERFORMANCE.md)."
+            " counter summary."
         ),
     )
     _add_observe_arguments(parser)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="per-GPM shard engines (default: 1, the single-process engine)",
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        help="OS processes for the shards (default: min(shards, cores))",
-    )
     args = parser.parse_args(argv)
 
     spec, workload, config = _observed_pair(parser, args)
-    result = simulate(
-        workload, config, shards=args.shards, shard_workers=args.shard_workers
-    )
+    result = simulate(workload, config)
     print(f"{spec.abbr} on {config.label()}")
-    sharding = result.sharding
-    if sharding is None:
-        print("  engine            single-process")
-    elif sharding.fallback_reason is not None:
-        print(f"  engine            single-process (fallback: {sharding.fallback_reason})")
-    else:
-        print(
-            f"  engine            {sharding.shards} shards over"
-            f" {sharding.workers} worker(s)"
-        )
     counters = result.counters
     print(f"  cycles            {counters.elapsed_cycles:14.0f}")
     print(f"  instructions      {counters.total_instructions:14d}")
@@ -829,12 +802,6 @@ def _capsweep_main(argv: list[str]) -> int:
         help="ignore and do not write the sweep result cache",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="per-GPM shard engines per simulation (default: 1)",
-    )
-    parser.add_argument(
         "--governor",
         choices=["utilization", "gate-only", "race-to-idle"],
         default=None,
@@ -852,8 +819,6 @@ def _capsweep_main(argv: list[str]) -> int:
         settings_kwargs["processes"] = args.processes
     if args.no_cache:
         settings_kwargs["use_cache"] = False
-    if args.shards != 1:
-        settings_kwargs["shards"] = args.shards
     runner = SweepRunner(SweepSettings(**settings_kwargs))
 
     screen_kwargs = {}
@@ -994,12 +959,6 @@ def _figures_main(argv: list[str]) -> int:
         help="simulation worker processes (default: auto)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="per-GPM shard engines per simulation (default: 1)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore and do not write the sweep result cache",
@@ -1011,8 +970,6 @@ def _figures_main(argv: list[str]) -> int:
         settings_kwargs["processes"] = args.processes
     if args.no_cache:
         settings_kwargs["use_cache"] = False
-    if args.shards != 1:
-        settings_kwargs["shards"] = args.shards
     runner = SweepRunner(SweepSettings(**settings_kwargs))
 
     start = time.time()
@@ -1052,10 +1009,6 @@ def _serve_main(argv: list[str]) -> int:
         "--workers", type=int, default=2, help="concurrent job executions"
     )
     parser.add_argument(
-        "--shards", type=int, default=1,
-        help="per-GPM shard engines per execution (default: 1)",
-    )
-    parser.add_argument(
         "--max-pending", type=int, default=256, help="queue depth bound"
     )
     parser.add_argument(
@@ -1084,7 +1037,6 @@ def _serve_main(argv: list[str]) -> int:
             host=args.host,
             port=args.port,
             workers=args.workers,
-            shards=args.shards,
             max_pending=args.max_pending,
             max_age_s=args.max_age_s,
             rate_per_s=args.rate_per_s,
@@ -1173,10 +1125,6 @@ def _submit_main(argv: list[str]) -> int:
         help="run under a chip power budget (validated at admission)",
     )
     parser.add_argument(
-        "--shards", type=int, default=1,
-        help="per-GPM shard engines for the execution (default: 1)",
-    )
-    parser.add_argument(
         "--screen", choices=["roofline"], default=None,
         help=(
             "attach the roofline prediction for this job to the response"
@@ -1226,8 +1174,6 @@ def _submit_main(argv: list[str]) -> int:
         recipe["core_mhz"] = args.core_mhz
     if args.cap_watts is not None:
         recipe["cap_watts"] = args.cap_watts
-    if args.shards != 1:
-        recipe["shards"] = args.shards
     if args.screen is not None:
         recipe["screen"] = args.screen
 
@@ -1347,15 +1293,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="ignore and do not write the sweep result cache",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "per-GPM shard engines per simulation (bit-identical results;"
-            " default: 1)"
-        ),
-    )
     _add_screen_arguments(parser)
     args = parser.parse_args(argv)
 
@@ -1367,8 +1304,6 @@ def main(argv: list[str] | None = None) -> int:
             settings_kwargs["processes"] = args.processes
         if args.no_cache:
             settings_kwargs["use_cache"] = False
-        if args.shards != 1:
-            settings_kwargs["shards"] = args.shards
         runner = SweepRunner(SweepSettings(**settings_kwargs))
 
         # Experiments whose grids the roofline screen can prune.
@@ -1402,7 +1337,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     # Experiments run under the same guard as the subcommands, so e.g.
-    # `repro sweetspot --shards 0` fails with one line and exit 2 too.
+    # `repro sweetspot --processes 0` fails with one line and exit 2 too.
     return _guarded(args.experiments[0], _experiments_main, [])
 
 

@@ -272,7 +272,7 @@ class EnergyParams:
             constant_growth_per_gpm=constant_growth_per_gpm,
         )
         # Anchor pricing is the identity scale on every GPM; carrying it
-        # explicitly lets sharded counters report per-GPM attribution even
+        # explicitly lets per-GPM counter shards report per-GPM attribution even
         # for never-rescaled runs, and makes anchor-DVFS params compare
         # equal to these.
         identity = [1.0] * config.num_gpms

@@ -78,14 +78,12 @@ def run(runner: SweepRunner | None = None) -> LocalityAblationResult:
         config = dataclasses.replace(
             config,
             placement_policy=placement,
+            partitioning=partitioning,
             name=f"{config.label()}/{placement.value}/{partitioning.value}",
         )
-        records = []
-        for abbr in SCALING_SUBSET:
-            records.append(
-                _record_with_partitioning(runner, abbr, config, partitioning)
-            )
-        per_arm_runs[label] = records
+        per_arm_runs[label] = [
+            record_for(runner, abbr, config) for abbr in SCALING_SUBSET
+        ]
 
     baseline_label = ARMS[0][0]
     baseline = per_arm_runs[baseline_label]
@@ -106,44 +104,3 @@ def run(runner: SweepRunner | None = None) -> LocalityAblationResult:
         )
         by_arm[label] = (remote, slowdown, energy)
     return LocalityAblationResult(by_arm=by_arm)
-
-
-def _record_with_partitioning(
-    runner: SweepRunner, abbr: str, config, partitioning: CtaPartitioning
-):
-    """Simulate one pair under a CTA-partitioning override (cached)."""
-    if partitioning is CtaPartitioning.CONTIGUOUS:
-        return record_for(runner, abbr, config)
-    # Round-robin partitioning is not part of GpuConfig (it is a scheduler
-    # argument), so cache under a distinguishing config name and simulate
-    # through the lower-level facade.
-    import json
-
-    from repro.experiments.results import RunRecord
-    from repro.experiments.runner import _cache_key
-    from repro.gpu.simulator import GpuSimulator
-    from repro.workloads.generator import build_workload
-    from repro.workloads.suite import WORKLOAD_SPECS
-
-    spec = WORKLOAD_SPECS[abbr]
-    key = _cache_key(spec, config) + "-rr"
-    path = runner._cache_path(key)
-    if runner.settings.use_cache and path.exists():
-        try:
-            with path.open() as handle:
-                return RunRecord.from_json(json.load(handle))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            path.unlink(missing_ok=True)
-    result = GpuSimulator(config, partitioning=partitioning).run(
-        build_workload(spec)
-    )
-    record = RunRecord(
-        workload=abbr,
-        category=spec.category.value,
-        config_label=config.label(),
-        num_gpms=config.num_gpms,
-        seconds=result.seconds,
-        counters=result.counters,
-    )
-    runner._store(key, record)
-    return record

@@ -13,7 +13,6 @@ cores, capped at 12); ``REPRO_CACHE_DIR`` to relocate the cache.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -37,17 +36,11 @@ from repro.service.keys import (
     spec_fingerprint as _spec_fingerprint,
     spec_hash as _spec_hash,
 )
+from repro.service.store import ResultStore, default_cache_dir
 from repro.trace.manifest import RunManifest
 from repro.trace.metrics import MetricsRegistry
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
-
-
-def _default_cache_dir() -> Path:
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parents[3] / ".cache" / "sweeps"
 
 
 def _default_processes() -> int:
@@ -65,54 +58,19 @@ def _default_progress() -> bool:
 class SweepSettings:
     """Execution knobs for a sweep."""
 
-    cache_dir: Path = field(default_factory=_default_cache_dir)
+    cache_dir: Path = field(default_factory=default_cache_dir)
     processes: int = field(default_factory=_default_processes)
     use_cache: bool = True
     #: Emit per-simulation progress lines on stderr (or REPRO_PROGRESS=1).
     progress: bool = field(default_factory=_default_progress)
     #: Write a RunManifest beside every freshly simulated cache entry.
     write_manifests: bool = True
-    #: Per-GPM shard engines per simulation (see :mod:`repro.sim.sharded`).
-    #: Sharded results are bit-identical to single-engine runs, so the shard
-    #: count deliberately stays out of the cache key.
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.processes < 1:
             raise ConfigError(
                 f"sweep processes must be >= 1, got {self.processes!r}"
             )
-        if self.shards < 1:
-            raise ConfigError(
-                f"sweep shards must be >= 1, got {self.shards!r}"
-            )
-
-
-def _record_from_result(
-    spec: WorkloadSpec, config: GpuConfig, result, metrics: MetricsRegistry
-) -> RunRecord:
-    return RunRecord(
-        workload=spec.abbr,
-        category=spec.category.value,
-        config_label=config.label(),
-        num_gpms=config.num_gpms,
-        seconds=result.seconds,
-        counters=result.counters,
-        metrics=metrics.to_json(),
-        residency=(
-            None if result.residency is None else result.residency.to_json()
-        ),
-    )
-
-
-def run_pair(
-    spec: WorkloadSpec, config: GpuConfig, shards: int = 1
-) -> RunRecord:
-    """Simulate one (workload, configuration) pair (no caching)."""
-    workload = build_workload(spec)
-    metrics = MetricsRegistry()
-    result = simulate(workload, config, metrics=metrics, shards=shards)
-    return _record_from_result(spec, config, result, metrics)
 
 
 @dataclass(frozen=True)
@@ -125,21 +83,41 @@ class _PairTiming:
 
 
 def _timed_run_pair(
-    args: tuple[WorkloadSpec, GpuConfig] | tuple[WorkloadSpec, GpuConfig, int]
+    args: tuple[WorkloadSpec, GpuConfig]
 ) -> tuple[RunRecord, _PairTiming]:
-    spec, config = args[0], args[1]
-    shards = args[2] if len(args) > 2 else 1
+    spec, config = args
     start = time.perf_counter()
     workload = build_workload(spec)
     metrics = MetricsRegistry()
-    result = simulate(workload, config, metrics=metrics, shards=shards)
+    result = simulate(workload, config, metrics=metrics)
     wall_time_s = time.perf_counter() - start
     timing = _PairTiming(
         wall_time_s=wall_time_s,
         events_processed=result.events_processed,
         events_per_sec=result.events_per_sec,
     )
-    return _record_from_result(spec, config, result, metrics), timing
+    record = RunRecord(
+        workload=spec.abbr,
+        category=spec.category.value,
+        config_label=config.label(),
+        num_gpms=config.num_gpms,
+        seconds=result.seconds,
+        counters=result.counters,
+        metrics=metrics.to_json(),
+        residency=(
+            None if result.residency is None else result.residency.to_json()
+        ),
+    )
+    return record, timing
+
+
+def run_pair(spec: WorkloadSpec, config: GpuConfig) -> RunRecord:
+    """Simulate one (workload, configuration) pair (no caching).
+
+    Sweep workers run the same :func:`_timed_run_pair` and the service
+    calls this, so both produce byte-identical records.
+    """
+    return _timed_run_pair((spec, config))[0]
 
 
 def expand_operating_points(
@@ -149,8 +127,9 @@ def expand_operating_points(
 
     Each configuration becomes one variant per point (core domain on
     ``curve``, default the K40 ladder); ``operating_points=None`` returns
-    the configurations unchanged.  Shared by :meth:`SweepRunner.run_grid`
-    and the service adapter so both spell grid expansion identically.
+    the configurations unchanged.  Shared by the exhaustive and the
+    screened grids of :meth:`SweepRunner.run_grid`, so both spell grid
+    expansion (and hence cache keys) identically.
     """
     if operating_points is None:
         return configs
@@ -171,11 +150,18 @@ class SweepRunner:
     Besides the records themselves, the runner aggregates every record's
     component metrics into :attr:`metrics` (merging per-worker registries via
     the parallel Welford combine) and writes a provenance manifest beside
-    each freshly simulated cache entry.
+    each freshly simulated cache entry.  Records live in the disk tier of
+    the shared :class:`~repro.service.store.ResultStore`, with no memory
+    tier: a sweep reads each entry once.
     """
 
     def __init__(self, settings: SweepSettings | None = None):
         self.settings = settings or SweepSettings()
+        self.store = ResultStore(
+            self.settings.cache_dir,
+            use_disk=self.settings.use_cache,
+            memory_capacity=0,
+        )
         self.cache_hits = 0
         self.cache_misses = 0
         #: Duplicate (spec, config) pairs within one grid that were served
@@ -188,33 +174,6 @@ class SweepRunner:
         self._screen_note: dict[str, dict] = {}
 
     # ------------------------------------------------------------------ cache
-
-    def _cache_path(self, key: str) -> Path:
-        return self.settings.cache_dir / f"{key}.json"
-
-    def _load_cached(self, key: str) -> RunRecord | None:
-        if not self.settings.use_cache:
-            return None
-        path = self._cache_path(key)
-        if not path.exists():
-            return None
-        try:
-            with path.open() as handle:
-                return RunRecord.from_json(json.load(handle))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            # A corrupt cache entry must never poison an experiment.
-            path.unlink(missing_ok=True)
-            return None
-
-    def _store(self, key: str, record: RunRecord) -> None:
-        if not self.settings.use_cache:
-            return
-        self.settings.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self._cache_path(key)
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("w") as handle:
-            json.dump(record.to_json(), handle)
-        tmp.replace(path)
 
     def _store_manifest(
         self,
@@ -253,7 +212,7 @@ class SweepRunner:
             per_gpm_energy=per_gpm_energy,
             screen=self._screen_note.get(key),
         )
-        manifest.write(RunManifest.path_for(self._cache_path(key)))
+        manifest.write(RunManifest.path_for(self.store.path(key)))
 
     def _report(self, done: int, total: int, label: str, wall_time_s: float) -> None:
         if self.settings.progress:
@@ -267,17 +226,11 @@ class SweepRunner:
     # ------------------------------------------------------------------- runs
 
     def _worker_count(self, missing_count: int) -> int:
-        """Sweep processes to launch, budgeting cores for shard engines.
-
-        Each simulation may fork up to ``settings.shards`` shard workers
-        (see :mod:`repro.sim.sharded`), so the pool is clamped such that
-        ``workers * shards`` never exceeds the machine's core count — a
-        sweep larger than the core count gains nothing from extra
-        processes, and oversubscribing forked shards actively hurts.
-        """
-        shards = max(1, self.settings.shards)
-        core_budget = max(1, (os.cpu_count() or 1) // shards)
-        return min(self.settings.processes, missing_count, core_budget)
+        """Sweep processes to launch: never more than the pairs to simulate
+        or the machine's cores, since extra processes gain nothing."""
+        return min(
+            self.settings.processes, missing_count, os.cpu_count() or 1
+        )
 
     def run(
         self, pairs: list[tuple[WorkloadSpec, GpuConfig]]
@@ -300,8 +253,8 @@ class SweepRunner:
         for index, (spec, config) in enumerate(pairs):
             key = _cache_key(spec, config)
             keys.append(key)
-            cached = self._load_cached(key)
-            if cached is None:
+            loaded = self.store.load(key)
+            if loaded is None:
                 records.append(None)
                 if key in leader_for_key:
                     followers.append(index)
@@ -316,7 +269,7 @@ class SweepRunner:
                 # rather than replay however the caching run spelled it.
                 records.append(
                     replace(
-                        cached,
+                        loaded[1],
                         workload=spec.abbr,
                         config_label=config.label(),
                     )
@@ -343,7 +296,7 @@ class SweepRunner:
             nonlocal done
             spec, config = pairs[index]
             records[index] = record
-            self._store(keys[index], record)
+            self.store.put(keys[index], record.to_json())
             self._store_manifest(keys[index], spec, config, timing, record)
             done += 1
             self._report(
@@ -357,13 +310,10 @@ class SweepRunner:
             # Cached pairs were short-circuited above; only genuinely missing
             # work reaches the pool.
             workers = self._worker_count(len(missing))
-            shards = max(1, self.settings.shards)
             if workers > 1 and len(missing) > 1:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = {
-                        pool.submit(
-                            _timed_run_pair, (pair[0], pair[1], shards)
-                        ): index
+                        pool.submit(_timed_run_pair, pair): index
                         for index, pair in missing
                     }
                     for future in as_completed(futures):
@@ -371,9 +321,7 @@ class SweepRunner:
                         _finish(futures[future], record, timing)
             else:
                 for index, pair in missing:
-                    record, timing = _timed_run_pair(
-                        (pair[0], pair[1], shards)
-                    )
+                    record, timing = _timed_run_pair(pair)
                     _finish(index, record, timing)
 
         for index in followers:

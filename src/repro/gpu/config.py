@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from repro.dvfs.config import DvfsConfig
 from repro.dvfs.idle import IdleConfig
 from repro.errors import ConfigError
+from repro.gpu.cta_scheduler import CtaPartitioning
 from repro.interconnect.compression import CompressionConfig
 from repro.memory.cache import CacheConfig
 from repro.memory.dram import DramConfig, HBM
@@ -151,6 +152,11 @@ class GpuConfig:
     ``None`` keeps cores always-on and is bit-identical to the pre-idle
     simulator.  Like the cap, an idle config joins the label and the cache
     fingerprint; idle-off fingerprints are unchanged.
+
+    ``partitioning`` picks how each kernel's CTAs are split across GPMs
+    (see :mod:`repro.gpu.cta_scheduler`).  The paper's contiguous split is
+    the default; round-robin is the locality-oblivious ablation arm and
+    joins the cache fingerprint, while contiguous fingerprints are unchanged.
     """
 
     gpm: GpmConfig = field(default_factory=GpmConfig)
@@ -158,6 +164,7 @@ class GpuConfig:
     interconnect: InterconnectConfig | None = None
     integration_domain: IntegrationDomain = IntegrationDomain.ON_PACKAGE
     placement_policy: PlacementPolicy = PlacementPolicy.FIRST_TOUCH
+    partitioning: CtaPartitioning = CtaPartitioning.CONTIGUOUS
     compression: "CompressionConfig | None" = None
     dvfs: "DvfsConfig | None" = None
     power_cap_watts: float | None = None

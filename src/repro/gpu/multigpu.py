@@ -40,7 +40,7 @@ from repro.dvfs.residency import DvfsResidency, ResidencyHistogram
 from repro.errors import ConfigError
 from repro.gpu.config import GpuConfig, TopologyKind
 from repro.gpu.counters import CounterSet
-from repro.gpu.cta_scheduler import CtaPartitioning, partition_ctas
+from repro.gpu.cta_scheduler import partition_ctas
 from repro.gpu.gpm import Gpm
 from repro.interconnect.compression import CompressedTopology
 from repro.interconnect.mesh import MeshTopology
@@ -72,13 +72,11 @@ class MultiGpu:
     def __init__(
         self,
         config: GpuConfig,
-        partitioning: CtaPartitioning = CtaPartitioning.CONTIGUOUS,
         tracer=None,
         metrics=None,
         governor: Governor | None = None,
     ):
         self.config = config
-        self.partitioning = partitioning
         self.engine = Engine(tracer=tracer, metrics=metrics)
         # Each GPM accumulates into its own shard; the chip-global totals on
         # the parent CounterSet are derived from the shards at end of run.
@@ -334,7 +332,7 @@ class MultiGpu:
         for kernel in workload.kernels:
             start = self.engine.now
             partitions = partition_ctas(
-                kernel.num_ctas, self.config.num_gpms, self.partitioning
+                kernel.num_ctas, self.config.num_gpms, self.config.partitioning
             )
             if tracer.enabled:
                 tracer.begin(

@@ -21,30 +21,11 @@ from repro.dvfs.operating_point import K40_VF_CURVE
 from repro.dvfs.residency import DvfsResidency
 from repro.gpu.config import GpuConfig
 from repro.gpu.counters import CounterSet
-from repro.gpu.cta_scheduler import CtaPartitioning
 from repro.gpu.multigpu import KernelStats, MultiGpu
 from repro.isa.kernel import Workload
 from repro.trace.metrics import MetricsRegistry
 from repro.trace.tracer import Tracer
 from repro.units import cycles_to_seconds
-
-
-@dataclass(frozen=True)
-class ShardingSummary:
-    """How a run was (or was not) split across per-GPM shard engines."""
-
-    #: Shard count the caller asked for.
-    requested: int
-    #: Shard engines actually used (1 when the run fell back).
-    shards: int
-    #: OS processes the shards were spread over.
-    workers: int
-    #: Why the run fell back to the single-process engine, or ``None``.
-    fallback_reason: str | None = None
-
-    @property
-    def used_sharding(self) -> bool:
-        return self.shards > 1
 
 
 @dataclass
@@ -65,8 +46,6 @@ class RunResult:
     residency: DvfsResidency | None = None
     #: The governor that steered the run, when one did (decision trace).
     governor: Governor | None = None
-    #: Shard-engine usage record; ``None`` for plain single-engine runs.
-    sharding: ShardingSummary | None = None
 
     @property
     def events_per_sec(self) -> float:
@@ -112,13 +91,8 @@ class RunResult:
 class GpuSimulator:
     """Reusable entry point binding a configuration to workload runs."""
 
-    def __init__(
-        self,
-        config: GpuConfig,
-        partitioning: CtaPartitioning = CtaPartitioning.CONTIGUOUS,
-    ):
+    def __init__(self, config: GpuConfig):
         self.config = config
-        self.partitioning = partitioning
 
     def run(
         self,
@@ -127,8 +101,6 @@ class GpuSimulator:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         governor: Governor | None = None,
-        shards: int = 1,
-        shard_workers: int | None = None,
     ) -> RunResult:
         """Simulate ``workload`` on a fresh GPU instance.
 
@@ -149,12 +121,6 @@ class GpuSimulator:
         selects — making the run a deterministic function of the
         configuration, which is what lets it share the sweep cache (both
         knobs join the cache fingerprint).
-
-        ``shards > 1`` requests the per-GPM sharded engine
-        (:mod:`repro.sim.sharded`): decoupled workloads split across
-        ``shards`` private engines (over ``shard_workers`` processes) with
-        bit-identical results; runs that cannot shard fall back to this
-        single-process path and record why on ``RunResult.sharding``.
         """
         if governor is None and (
             self.config.power_cap_watts is not None
@@ -168,28 +134,8 @@ class GpuSimulator:
             governor = governor_for(
                 self.config.idle, self.config.power_cap_watts, curve
             )
-        if shards > 1:
-            # Deferred import: repro.sim.sharded drives this facade for its
-            # fallback path, so a module-scope import would cycle.
-            from repro.sim.sharded import run_sharded
-
-            return run_sharded(
-                workload,
-                self.config,
-                shards=shards,
-                partitioning=self.partitioning,
-                governor=governor,
-                metrics=metrics,
-                tracer=tracer,
-                max_events=max_events,
-                workers=shard_workers,
-            )
         gpu = MultiGpu(
-            self.config,
-            partitioning=self.partitioning,
-            tracer=tracer,
-            metrics=metrics,
-            governor=governor,
+            self.config, tracer=tracer, metrics=metrics, governor=governor
         )
         start = time.perf_counter()
         counters = gpu.run(workload, max_events=max_events)
@@ -211,19 +157,11 @@ class GpuSimulator:
 def simulate(
     workload: Workload,
     config: GpuConfig,
-    partitioning: CtaPartitioning = CtaPartitioning.CONTIGUOUS,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     governor: Governor | None = None,
-    shards: int = 1,
-    shard_workers: int | None = None,
 ) -> RunResult:
     """Convenience wrapper: simulate one workload on one configuration."""
-    return GpuSimulator(config, partitioning=partitioning).run(
-        workload,
-        tracer=tracer,
-        metrics=metrics,
-        governor=governor,
-        shards=shards,
-        shard_workers=shard_workers,
+    return GpuSimulator(config).run(
+        workload, tracer=tracer, metrics=metrics, governor=governor
     )

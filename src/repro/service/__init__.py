@@ -6,10 +6,10 @@ configurations are rejected before any engine time is spent), a priority
 scheduler with size-classed lanes and aging (small interactive runs preempt
 32-GPM batch sweeps, nothing starves), per-client token-bucket rate limits
 and stale-job eviction, and finally a worker pool that executes through the
-existing :func:`~repro.gpu.simulator.simulate` path.  Results land in a
-content-addressed store keyed by the same ``RESULTS_VERSION``-aware
-fingerprints the sweep cache uses (:mod:`repro.service.keys`), with
-single-flight dedup so identical in-flight requests coalesce to one
+sweep runner's :func:`~repro.experiments.runner.run_pair`.  Results land in
+the content-addressed store the sweep runner shares
+(:mod:`repro.service.store`), keyed by ``RESULTS_VERSION``-aware
+fingerprints (:mod:`repro.service.keys`), with single-flight dedup so identical in-flight requests coalesce to one
 simulation and repeats are O(1) cache hits.
 
 The layer is observable end to end through PR 1's
@@ -18,7 +18,7 @@ admission rejections, cache hit rate, latency histograms — see
 ``docs/SERVICE.md``) and is driven by ``repro serve`` / ``repro submit``.
 
 The execution-side names (``SweepService``, ``ServiceThread``,
-``ServiceClient``, ``ServiceSweepRunner``) resolve lazily: they pull in the
+``ServiceClient``) resolve lazily: they pull in the
 experiment runner, which itself imports :mod:`repro.service.keys`, so eager
 imports here would cycle.
 """
@@ -50,7 +50,6 @@ _LAZY = {
     "ServiceConfig": "repro.service.server",
     "ServiceThread": "repro.service.server",
     "ServiceClient": "repro.service.client",
-    "ServiceSweepRunner": "repro.service.adapter",
 }
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "ServiceMetrics",
-    "ServiceSweepRunner",
     "ServiceThread",
     "SingleFlight",
     "SweepService",

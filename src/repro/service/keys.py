@@ -24,6 +24,7 @@ import json
 from dataclasses import asdict
 
 from repro.gpu.config import GpuConfig
+from repro.gpu.cta_scheduler import CtaPartitioning
 from repro.workloads.spec import WorkloadSpec
 
 #: Bump when simulator semantics change, invalidating every cached record.
@@ -80,6 +81,13 @@ def config_fingerprint(config: GpuConfig) -> dict:
             {}
             if config.idle is None
             else {"idle": config.idle.fingerprint()}
+        ),
+        # And for CTA partitioning: only the round-robin ablation arm carries
+        # it, so contiguous keys stay byte-stable.
+        **(
+            {}
+            if config.partitioning is CtaPartitioning.CONTIGUOUS
+            else {"partitioning": config.partitioning.value}
         ),
     }
 

@@ -4,8 +4,8 @@ Each client identity owns one bucket: ``burst`` tokens of headroom refilled
 continuously at ``rate_per_s``.  Admission spends one token per submission;
 an empty bucket means the request is rejected with a rate-limit error
 *before* touching the queue or the engine, so one chatty client cannot
-crowd out the lanes.  ``rate_per_s=None`` disables limiting entirely (the
-in-process adapter and trusted batch drivers use that).
+crowd out the lanes.  ``rate_per_s=None`` disables limiting entirely (trusted
+in-process drivers use that).
 
 The limiter is clock-injected and synchronous, like the queue: the service
 calls it from the event loop, tests drive it with a fake clock.

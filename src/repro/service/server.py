@@ -7,10 +7,9 @@
   content-addressed store (O(1) hit), an in-flight leader (single-flight
   coalesce), or a freshly enqueued job.
 * A fixed pool of worker coroutines pops jobs in aged-priority order and
-  executes them on a thread executor through the existing
-  :func:`~repro.gpu.simulator.simulate` path; thread count is clamped
-  ``SweepSettings``-style so ``workers x shards`` never oversubscribes the
-  machine.
+  executes them on a thread executor through the sweep runner's
+  :func:`~repro.experiments.runner.run_pair`; thread count is clamped to
+  the machine's cores, as ``SweepRunner`` clamps its process pool.
 * Every decision increments a :class:`~repro.service.metrics.ServiceMetrics`
   counter, so the end-to-end tests (and ``GET /v1/metrics``) can assert
   scheduling behaviour without reaching into internals.
@@ -20,8 +19,8 @@ over ``asyncio.start_server`` on the loopback interface (no third-party
 dependencies), with ``POST /v1/jobs`` carrying the recipe format of
 :func:`repro.service.job.request_from_recipe` and ``GET /v1/metrics`` /
 ``/v1/stats`` / ``/v1/healthz`` for observability.  :class:`ServiceThread`
-runs the whole stack on a daemon thread for tests, benchmarks, the smoke
-tool, and the in-process adapter.
+runs the whole stack on a daemon thread for tests, benchmarks and the
+smoke tool.
 """
 
 from __future__ import annotations
@@ -75,22 +74,14 @@ from repro.trace.metrics import MetricsRegistry
 def execute_request(request: JobRequest) -> tuple[dict, float]:
     """Simulate one request (thread-side); returns (record JSON, exec secs).
 
-    This is the same build-and-simulate path the batch sweep workers run,
-    so a record produced here is byte-identical to what a direct
-    ``simulate()`` + ``RunRecord`` round would produce for the same pair.
+    This is :func:`~repro.experiments.runner.run_pair`, the path the batch
+    sweep workers run, so a record produced here is byte-identical to the
+    sweep runner's record for the same pair.
     """
-    from repro.experiments.runner import _record_from_result
-    from repro.workloads.generator import build_workload
+    from repro.experiments.runner import run_pair
 
     start = time.perf_counter()
-    workload = build_workload(request.spec)
-    metrics = MetricsRegistry()
-    from repro.gpu.simulator import simulate
-
-    result = simulate(
-        workload, request.config, metrics=metrics, shards=request.shards
-    )
-    record = _record_from_result(request.spec, request.config, result, metrics)
+    record = run_pair(request.spec, request.config)
     return record.to_json(), time.perf_counter() - start
 
 
@@ -101,8 +92,6 @@ class ServiceConfig:
     #: Concurrent job executions (0 = accept/queue but never execute —
     #: useful for scheduling tests).
     workers: int = 2
-    #: Per-GPM shard engines per execution (joins the core-clamp product).
-    shards: int = 1
     #: Queue bounds (see :class:`~repro.service.evict.EvictionPolicy`).
     max_pending: int = 256
     max_age_s: float = 300.0
@@ -124,8 +113,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ConfigError(f"workers must be >= 0, got {self.workers!r}")
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards!r}")
         if self.evict_interval_s is not None and self.evict_interval_s <= 0:
             raise ConfigError(
                 f"evict_interval_s must be positive, got"
@@ -133,14 +120,9 @@ class ServiceConfig:
             )
 
     def executor_workers(self) -> int:
-        """Executor threads, budgeting cores for shard engines.
-
-        Mirrors ``SweepRunner._worker_count``: each execution may fork up
-        to ``shards`` shard workers, so concurrent executions are clamped
-        such that ``workers * shards`` never exceeds the core count.
-        """
-        core_budget = max(1, (os.cpu_count() or 1) // self.shards)
-        return max(1, min(self.workers, core_budget))
+        """Executor threads: ``workers``, clamped to the machine's cores
+        (as ``SweepRunner._worker_count`` clamps its process pool)."""
+        return max(1, min(self.workers, os.cpu_count() or 1))
 
 
 #: ServiceError kind -> HTTP status.
@@ -592,7 +574,7 @@ async def _serve_forever(config: ServiceConfig) -> None:
     server = await service.serve()
     print(
         f"repro service listening on http://{service.host}:{service.port}"
-        f" ({config.workers} workers, shards={config.shards},"
+        f" ({config.workers} workers,"
         f" cache={'disk+memory' if config.use_disk_cache else 'memory'})",
         flush=True,
     )
@@ -612,8 +594,7 @@ def run_service(config: ServiceConfig) -> int:
 class ServiceThread:
     """A full service (workers + HTTP) on a private loop in a daemon thread.
 
-    The building block for tests, benchmarks, the smoke tool, and the
-    in-process :class:`~repro.service.adapter.ServiceSweepRunner`: start,
+    The building block for tests, benchmarks and the smoke tool: start,
     talk to it over HTTP or via :meth:`submit`, stop.
     """
 

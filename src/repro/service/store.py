@@ -1,14 +1,22 @@
-"""Content-addressed result store with single-flight dedup.
+"""The one result store: content-addressed records plus single-flight dedup.
 
-The store maps :func:`repro.service.keys.cache_key` content addresses to
-``RunRecord.to_json()`` payloads through two tiers:
+:class:`ResultStore` maps :func:`repro.service.keys.cache_key` content
+addresses to ``RunRecord.to_json()`` payloads through two tiers:
 
-* a bounded in-memory LRU (the O(1) hot path a repeated paper-study config
-  hits), and
-* the sweep cache's own on-disk layout (``<cache_dir>/<key>.json``) — the
-  *same* files :class:`~repro.experiments.runner.SweepRunner` reads and
-  writes, so a result simulated by either layer is a hit for both and the
-  two caches can never skew.
+* the on-disk cache (``<cache_dir>/<key>.json``), the only place in the
+  package that reads or writes record files.  Both the batch
+  :class:`~repro.experiments.runner.SweepRunner` and the service go through
+  it, so a result simulated by either is a hit for both and the two can
+  never skew; and
+* a bounded in-memory LRU over it (the O(1) hot path a repeated
+  paper-study config hits).  The service sizes it with ``memory_capacity``;
+  the sweep runner passes 0 and reads the disk tier alone.
+
+Reads are tolerant: an entry that cannot be opened, is not JSON, or does
+not decode as a :class:`~repro.experiments.results.RunRecord` is a miss and
+is unlinked, so the next run re-simulates it.  Writes are atomic: each goes
+to a unique temporary file beside the target and is renamed over it, so
+concurrent writers of one key leave one whole entry and no temporary files.
 
 :class:`SingleFlight` is the companion in-flight index: the first submitter
 of a key becomes the *leader* whose job simulates; everyone arriving while
@@ -21,22 +29,45 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from collections import OrderedDict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.service.job import Job
+if TYPE_CHECKING:
+    from repro.experiments.results import RunRecord
+    from repro.service.job import Job
 
 
 def default_cache_dir() -> Path:
-    """The sweep cache directory (same resolution as the sweep runner)."""
+    """``REPRO_CACHE_DIR``, else ``.cache/sweeps`` at the repository root."""
     override = os.environ.get("REPRO_CACHE_DIR")
     if override:
         return Path(override)
     return Path(__file__).resolve().parents[3] / ".cache" / "sweeps"
 
 
+def write_json_atomic(path: Path, payload, **dump_kwargs) -> None:
+    """Write ``payload`` as JSON to ``path`` via a unique temporary file.
+
+    ``os.replace`` is atomic, so a reader sees the old file or the new one,
+    never a mix, and two writers racing on one path cannot interleave.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(payload, handle, **dump_kwargs)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 class ResultStore:
-    """Two-tier (memory LRU over shared disk) content-addressed store."""
+    """Two-tier (memory LRU over disk) content-addressed record store."""
 
     def __init__(
         self,
@@ -52,48 +83,58 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def _path(self, key: str) -> Path:
+    def path(self, key: str) -> Path:
+        """Where the record for ``key`` lives on disk."""
         return self.cache_dir / f"{key}.json"
 
     # ------------------------------------------------------------------ lookup
 
+    def load(self, key: str) -> tuple[dict, RunRecord] | None:
+        """Read one entry from disk as ``(payload, record)``, or ``None``.
+
+        Any unreadable entry is unlinked and reported as a miss.
+        """
+        if not self.use_disk:
+            return None
+        # Deferred: repro.experiments imports the runner, which imports
+        # this module.
+        from repro.experiments.results import RunRecord
+
+        path = self.path(key)
+        try:
+            with path.open() as handle:
+                payload = json.load(handle)
+            return payload, RunRecord.from_json(payload)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            # Truncated, not JSON, or not a record: never poison a result.
+            path.unlink(missing_ok=True)
+            return None
+
     def get(self, key: str) -> dict | None:
-        """The stored record payload for ``key``, or ``None``."""
+        """The stored record payload for ``key`` (memory, then disk)."""
         record = self._memory.get(key)
         if record is not None:
             self._memory.move_to_end(key)
             return record
-        if not self.use_disk:
+        loaded = self.load(key)
+        if loaded is None:
             return None
-        path = self._path(key)
-        if not path.exists():
-            return None
-        try:
-            with path.open() as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            # A corrupt entry must never poison a response; drop it and
-            # let the next submission re-simulate.
-            path.unlink(missing_ok=True)
-            return None
-        self._remember(key, record)
-        return record
+        self._remember(key, loaded[0])
+        return loaded[0]
 
     # ------------------------------------------------------------------- store
 
     def put(self, key: str, record: dict) -> None:
         """Store one record payload under its content address."""
         self._remember(key, record)
-        if not self.use_disk:
-            return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("w") as handle:
-            json.dump(record, handle)
-        tmp.replace(path)
+        if self.use_disk:
+            write_json_atomic(self.path(key), record)
 
     def _remember(self, key: str, record: dict) -> None:
+        if self.memory_capacity <= 0:
+            return
         self._memory[key] = record
         self._memory.move_to_end(key)
         while len(self._memory) > self.memory_capacity:

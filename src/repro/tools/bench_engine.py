@@ -33,11 +33,10 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-#: Bump when the BENCH_sim.json layout changes incompatibly.  v2 adds the
-#: sharded-engine columns (``sharded_*``) to every case row; the
-#: single-process columns are unchanged, so ``--check`` still accepts v1
-#: baselines.
-BENCH_SCHEMA_VERSION = 2
+#: Bump when the BENCH_sim.json layout changes incompatibly.  v3 drops the
+#: per-shard-engine columns v2 added; the single-process columns are
+#: unchanged since v1, so ``--check`` accepts baselines of any version.
+BENCH_SCHEMA_VERSION = 3
 
 #: Default allowed normalized-events/sec regression before --check fails.
 DEFAULT_TOLERANCE = 0.20
@@ -87,16 +86,8 @@ def calibration_mops(iterations: int = 1_000_000, repeats: int = 3) -> float:
     return iterations / best / 1e6
 
 
-def run_case(case: BenchCase, repeats: int = 3, shards: int | None = None) -> dict:
-    """Simulate one case ``repeats`` times; report best-wall throughput.
-
-    Every case is measured twice: through the single-process engine (the
-    ``events_per_sec`` column checked by ``--check``) and through the
-    per-GPM sharded engine (``sharded_*`` columns; ``shards`` defaults to
-    the case's GPM count).  Sharded runs are bit-identical to single-engine
-    runs, so event counts must agree; a run that cannot shard records its
-    fallback reason and the fallback's measured throughput.
-    """
+def run_case(case: BenchCase, repeats: int = 3) -> dict:
+    """Simulate one case ``repeats`` times; report best-wall throughput."""
     from repro.gpu.config import TopologyKind, table_iii_config
     from repro.gpu.simulator import simulate
     from repro.workloads.generator import build_workload
@@ -104,8 +95,6 @@ def run_case(case: BenchCase, repeats: int = 3, shards: int | None = None) -> di
 
     spec = shrunken_spec(case.workload, total_ctas=case.ctas, kernels=case.kernels)
     config = table_iii_config(case.gpms, topology=TopologyKind(case.topology))
-    if shards is None:
-        shards = case.gpms
     best_wall = float("inf")
     events = 0
     cycles = 0.0
@@ -117,19 +106,6 @@ def run_case(case: BenchCase, repeats: int = 3, shards: int | None = None) -> di
         best_wall = min(best_wall, wall)
         events = result.events_processed
         cycles = result.cycles
-    sharded_wall = float("inf")
-    sharded_events = 0
-    fallback_reason = None
-    for _ in range(repeats):
-        workload = build_workload(spec)
-        start = time.perf_counter()
-        result = simulate(workload, config, shards=shards)
-        wall = time.perf_counter() - start
-        sharded_wall = min(sharded_wall, wall)
-        sharded_events = result.events_processed
-        fallback_reason = (
-            None if result.sharding is None else result.sharding.fallback_reason
-        )
     return {
         **asdict(case),
         "key": case.key(),
@@ -137,13 +113,6 @@ def run_case(case: BenchCase, repeats: int = 3, shards: int | None = None) -> di
         "cycles": cycles,
         "wall_s": best_wall,
         "events_per_sec": events / best_wall if best_wall > 0 else 0.0,
-        "sharded_shards": shards,
-        "sharded_fallback": fallback_reason,
-        "sharded_events": sharded_events,
-        "sharded_wall_s": sharded_wall,
-        "sharded_events_per_sec": (
-            sharded_events / sharded_wall if sharded_wall > 0 else 0.0
-        ),
     }
 
 
@@ -159,20 +128,11 @@ def run_bench(quick: bool = False, repeats: int = 3) -> dict:
         row["normalized_events_per_mop"] = (
             row["events_per_sec"] / (mops * 1e6) if mops > 0 else 0.0
         )
-        row["sharded_normalized_events_per_mop"] = (
-            row["sharded_events_per_sec"] / (mops * 1e6) if mops > 0 else 0.0
-        )
         rows.append(row)
-        sharded_note = (
-            "fallback" if row["sharded_fallback"] is not None
-            else f"{row['sharded_shards']}sh"
-        )
         print(
             f"[bench] {row['key']:<34} {row['events']:>9d} events"
             f" {row['wall_s'] * 1e3:>8.1f} ms"
-            f" {row['events_per_sec'] / 1e3:>8.1f}k ev/s"
-            f" | sharded {row['sharded_events_per_sec'] / 1e3:>8.1f}k ev/s"
-            f" ({sharded_note})",
+            f" {row['events_per_sec'] / 1e3:>8.1f}k ev/s",
             file=sys.stderr,
             flush=True,
         )
@@ -192,35 +152,6 @@ def run_bench(quick: bool = False, repeats: int = 3) -> dict:
             "events_per_sec": total_events / total_wall if total_wall else 0.0,
         },
     }
-
-
-def check_sharded_smoke(
-    current: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
-    """Fail if the sharded engine is slower than the single-process engine.
-
-    The bit-identity contract means sharding may only buy throughput, never
-    change results — so the perf smoke is a simple floor: on every measured
-    case, sharded events/sec must be at least ``(1 - tolerance)`` of the
-    single-engine column.  Fallback runs go through the single-process path
-    and should trivially pass; a failure there means the sharded dispatch
-    itself grew overhead.
-    """
-    failures: list[str] = []
-    for row in current.get("cases", []):
-        single = row.get("events_per_sec", 0.0)
-        sharded = row.get("sharded_events_per_sec", 0.0)
-        if single <= 0.0:
-            continue
-        ratio = sharded / single
-        if ratio < 1.0 - tolerance:
-            note = row.get("sharded_fallback") or f"{row.get('sharded_shards')} shards"
-            failures.append(
-                f"{row['key']}: sharded engine at {ratio:.2f}x of"
-                f" single-process throughput ({note};"
-                f" tolerance {1.0 - tolerance:.2f}x)"
-            )
-    return failures
 
 
 def check_regression(
@@ -287,14 +218,6 @@ def main(argv: list[str] | None = None) -> int:
         help="compare against a committed BENCH_sim.json; exit 1 on regression",
     )
     parser.add_argument(
-        "--sharded-smoke",
-        action="store_true",
-        help=(
-            "fail if sharded events/sec falls below the single-engine column"
-            " by more than --tolerance on any measured case"
-        ),
-    )
-    parser.add_argument(
         "--tolerance",
         type=float,
         default=DEFAULT_TOLERANCE,
@@ -327,14 +250,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"[bench] REGRESSION: {failure}", file=sys.stderr)
             return 1
         print(f"[bench] check passed against {args.check}")
-
-    if args.sharded_smoke:
-        failures = check_sharded_smoke(payload, tolerance=args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"[bench] SHARDED SMOKE: {failure}", file=sys.stderr)
-            return 1
-        print("[bench] sharded smoke passed")
     return 0
 
 

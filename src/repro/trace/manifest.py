@@ -109,12 +109,11 @@ class RunManifest:
         return record_path.with_suffix(".manifest.json")
 
     def write(self, path: str | Path) -> Path:
+        # Deferred: repro.service imports this module for ServiceManifest.
+        from repro.service.store import write_json_atomic
+
         target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_suffix(".tmp")
-        with tmp.open("w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-        tmp.replace(target)
+        write_json_atomic(target, self.to_json(), indent=2, sort_keys=True)
         return target
 
     @classmethod

@@ -154,17 +154,3 @@ class TestIdleOffCacheIdentity:
         assert '"version": 4' in blob
         assert "idle" not in blob
 
-
-class TestShardedIdleFallback:
-    """Idle runs fall back to the single-process driver, with the reason."""
-
-    def test_fallback_reason_recorded_and_identical(self):
-        spec = GOLDEN_SPECS["bursty-micro"]
-        config = GOLDEN_CONFIGS["8gpm-idle"]
-        single = simulate(build_workload(spec), config)
-        sharded = simulate(build_workload(spec), config, shards=4)
-        assert sharded.sharding is not None
-        assert not sharded.sharding.used_sharding
-        assert "idle" in sharded.sharding.fallback_reason
-        _assert_bit_identical(single, sharded)
-        assert sharded.residency.to_json() == single.residency.to_json()

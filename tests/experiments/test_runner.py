@@ -117,6 +117,21 @@ class TestCaching:
         assert manifest.wall_time_s > 0
         assert manifest.events_per_sec > 0
 
+    def test_round_robin_partitioning_gets_its_own_entry(self, runner):
+        from repro.gpu.cta_scheduler import CtaPartitioning
+
+        contiguous = table_iii_config(2)
+        round_robin = dataclasses.replace(
+            contiguous, partitioning=CtaPartitioning.ROUND_ROBIN
+        )
+        spec = tiny_spec()
+        first = runner.run([(spec, contiguous), (spec, round_robin)])
+        assert runner.cache_misses == 2
+        assert first[0].counters != first[1].counters
+        again = runner.run([(spec, round_robin)])
+        assert runner.cache_hits == 1
+        assert again[0].counters == first[1].counters
+
     def test_cache_hit_short_circuits_before_submission(self, runner):
         # A fully cached sweep must simulate nothing: no worker submission,
         # no new manifest, just replayed records.
@@ -275,47 +290,30 @@ class TestSerialization:
 
 
 class TestWorkerCount:
-    """Sweep processes are budgeted against forked shard engines."""
+    """Sweep processes are clamped to the pairs to simulate and the cores."""
 
-    def _runner(self, tmp_path, processes, shards):
+    def _runner(self, tmp_path, processes):
         return SweepRunner(
-            SweepSettings(cache_dir=tmp_path, processes=processes, shards=shards)
+            SweepSettings(cache_dir=tmp_path, processes=processes)
         )
 
     def test_unsharded_sweeps_keep_full_pool(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 
         monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 8)
-        runner = self._runner(tmp_path, processes=8, shards=1)
+        runner = self._runner(tmp_path, processes=8)
         assert runner._worker_count(100) == 8
-
-    def test_shards_divide_the_core_budget(self, tmp_path, monkeypatch):
-        import repro.experiments.runner as runner_mod
-
-        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 8)
-        runner = self._runner(tmp_path, processes=8, shards=4)
-        # workers * shards must not exceed the 8 cores: 8 // 4 = 2 workers.
-        assert runner._worker_count(100) == 2
-
-    def test_oversized_shard_requests_still_leave_one_worker(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.experiments.runner as runner_mod
-
-        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 8)
-        runner = self._runner(tmp_path, processes=8, shards=64)
-        assert runner._worker_count(100) == 1
 
     def test_missing_count_still_clamps(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 
         monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 16)
-        runner = self._runner(tmp_path, processes=8, shards=2)
+        runner = self._runner(tmp_path, processes=8)
         assert runner._worker_count(3) == 3
 
     def test_unknown_cpu_count_defaults_to_one(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 
         monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: None)
-        runner = self._runner(tmp_path, processes=8, shards=2)
+        runner = self._runner(tmp_path, processes=8)
         assert runner._worker_count(100) == 1

@@ -5,8 +5,7 @@ sleep-state configs (the closed-form model prices no gating) and
 phase-scheduled workloads (per-kernel instruction mixes break the
 expectation-counter algebra).  Pruning on garbage scores there would be a
 silent correctness bug, so :func:`screen_operating_points` degrades to
-exhaustive — every point simulated — and records *why* in the disposition,
-mirroring the sharded engine's recorded fallback to single-process.
+exhaustive — every point simulated — and records *why* in the disposition.
 """
 
 from __future__ import annotations

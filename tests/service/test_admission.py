@@ -74,9 +74,9 @@ class TestRecipeValidation:
         with pytest.raises(ConfigError):
             request_from_recipe({"workload": "Stream", "ctas": "many"})
 
-    def test_zero_shards_is_rejected(self):
-        with pytest.raises(ConfigError, match="shards"):
-            request_from_recipe({"workload": "Stream", "shards": 0})
+    def test_shards_field_is_rejected_as_unknown(self):
+        with pytest.raises(ConfigError, match="unknown job recipe field"):
+            request_from_recipe({"workload": "Stream", "shards": 2})
 
 
 class TestRejectFactories:

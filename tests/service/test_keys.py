@@ -13,6 +13,7 @@ import hashlib
 from repro.dvfs.config import DvfsConfig
 from repro.dvfs.operating_point import K40_VF_CURVE
 from repro.gpu.config import table_iii_config
+from repro.gpu.cta_scheduler import CtaPartitioning
 from repro.service import keys
 from repro.workloads.suite import shrunken_spec
 
@@ -26,6 +27,7 @@ PINNED = {
 }
 PINNED_CAPPED_STREAM_4 = "5ba1e6193d97289de5b2ea46"
 PINNED_DVFS_STREAM_4 = "c97eb090864c1c5e6c65fb69"
+PINNED_ROUND_ROBIN_STREAM_4 = "db9b0fd012031c16422fa906"
 PINNED_STREAM_SPEC_HASH = "1253a4ed579b3c2d6ca23d2a"
 
 
@@ -59,6 +61,20 @@ class TestGoldenKeys:
             PINNED_DVFS_STREAM_4
         )
 
+    def test_round_robin_config_key_is_byte_stable(self):
+        # Round-robin CTA partitioning has its own content address, and the
+        # contiguous twin keeps its pre-partitioning key.
+        spec = _spec("Stream")
+        contiguous = table_iii_config(4)
+        round_robin = dataclasses.replace(
+            contiguous, partitioning=CtaPartitioning.ROUND_ROBIN
+        )
+        assert keys.cache_key(spec, round_robin) == (
+            PINNED_ROUND_ROBIN_STREAM_4
+        )
+        assert keys.cache_key(spec, contiguous) == PINNED[("Stream", 4)]
+        assert PINNED_ROUND_ROBIN_STREAM_4 != PINNED[("Stream", 4)]
+
     def test_spec_hash_is_byte_stable(self):
         assert keys.spec_hash(_spec("Stream")) == PINNED_STREAM_SPEC_HASH
 
@@ -91,6 +107,7 @@ class TestSubsystemGating:
         assert "compression" not in fingerprint
         assert "dvfs" not in fingerprint
         assert "power_cap_watts" not in fingerprint
+        assert "partitioning" not in fingerprint
 
     def test_cap_changes_the_key(self):
         spec = _spec("Stream")
