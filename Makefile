@@ -38,17 +38,14 @@ differential:
 perf-baseline:
 	PYTHONPATH=src $(PYTHON) -m repro bench --out BENCH_sim.json
 
-# Regenerate every paper table/figure (fills .cache/ on first run).
-reproduce:
-	$(PYTHON) -m repro all
-
-# Regenerate the committed full-tier figure logs in results/fig*/ (run
-# this after any change that moves figure numbers; see EXPERIMENTS.md).
-figures:
+# Regenerate every registered study into results/<study>/ (fills .cache/
+# on first run; the paper figures' and idle study's logs are committed, so
+# run this after any change that moves their numbers; see EXPERIMENTS.md).
+reproduce figures:
 	PYTHONPATH=src $(PYTHON) -m repro figures
 
 # Figure-harness smoke: the quick tier (shrunken workloads, reduced grid)
-# regenerates every figure into gitignored quick*.txt files, then the
+# regenerates every study into gitignored quick*.txt files, then the
 # workload/figure property tests assert the phase-schedule invariants and
 # the llmstudy governor direction (see docs/WORKLOADS.md).
 figures-smoke:
@@ -79,13 +76,14 @@ roofline-smoke:
 	  benchmarks/bench_roofline.py
 
 # Idle-subsystem wall: the differential idle-off bit-identity suite, the
-# Hypothesis property wall for sleep states and governors, then a 2-point
-# governor comparison that must reproduce the headline race-to-idle win on
-# the bursty workload (see docs/POWER.md).
+# Hypothesis property wall for sleep states and governors, and
+# tests/experiments/test_idle_study.py, which asserts the race-to-idle win
+# on the bursty workload and loss on the steady one; then the idle study's
+# quick tier, whose summary prints both directions (see docs/POWER.md).
 idle-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/test_idle_identity.py \
-	  tests/dvfs/test_idle_properties.py -q
-	PYTHONPATH=src $(PYTHON) -m repro idlestudy --quick
+	  tests/dvfs/test_idle_properties.py tests/experiments/test_idle_study.py -q
+	PYTHONPATH=src $(PYTHON) -m repro figures --only idle_study --quick
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -12,7 +12,7 @@ The package provides, from the bottom up:
 * the **EDPSE** scaling-efficiency metric (:mod:`repro.core.edpse`);
 * the Table II workload suite as synthetic traces (:mod:`repro.workloads`);
 * experiment drivers regenerating every table and figure
-  (:mod:`repro.experiments`, also ``python -m repro <experiment>``).
+  (:mod:`repro.experiments`, also ``python -m repro figures``).
 
 Quickstart::
 

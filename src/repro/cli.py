@@ -1,11 +1,10 @@
-"""Command-line entry point: ``python -m repro <experiment>``.
+"""Command-line entry point: ``python -m repro <subcommand>``.
 
-Runs any of the paper's experiments from the shell and prints the same
-rows/series the paper's table or figure reports.  ``all`` runs everything in
-DESIGN.md's experiment-index order.
-
-Two observability subcommands sit beside the experiments (see
-``docs/OBSERVABILITY.md``):
+``repro figures`` is the one way to run a study: every table, figure and
+extension study is an entry of :data:`repro.experiments.figures.FIGURES`
+and regenerates into ``results/<study>/`` (``--only`` picks studies,
+``--quick`` runs the smoke tier; see EXPERIMENTS.md).  The other
+subcommands observe or serve single runs (see ``docs/OBSERVABILITY.md``):
 
 * ``repro run <workload>`` — simulate a scaled-down copy of a Table II
   workload once and print its timing/counter summary.
@@ -23,13 +22,6 @@ Two observability subcommands sit beside the experiments (see
   power-capping governor's decisions with residency-priced energy;
   ``--governor`` adds per-GPM sleep states (race-to-idle, deadline-paced,
   gate-only, or utilization) and prints the gated residency.
-* ``repro capsweep`` — sweep chip power budgets across GPM counts and report
-  residency-priced EDPSE per budget (``--quick`` for a small grid;
-  ``--screen roofline`` prunes the budget grid analytically first;
-  ``--governor`` attaches per-GPM sleep states under the cap).
-* ``repro idlestudy`` — compare race-to-idle, deadline-paced, gate-only,
-  and utilization governors on per-GPM sleep states and report EDPSE per
-  workload shape (``--quick`` for the CI smoke grid; see ``docs/POWER.md``).
 * ``repro roofline`` — score a workload's V/f ladder with the closed-form
   roofline predictor and compare against simulation; ``--check-bounds``
   verifies the committed error-bound manifest (see docs/MODELING.md).
@@ -51,54 +43,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-
-from repro.experiments import (
-    amortization_study,
-    capping_study,
-    config_tables,
-    compression_study,
-    edip_study,
-    fig2_energy_scaling,
-    fig4_validation,
-    fig6_edpse_onpackage,
-    fig7_incremental,
-    fig8_bandwidth,
-    fig9_switch,
-    fig10_speedup_energy,
-    headline,
-    idle_study,
-    interconnect_energy_study,
-    locality_ablation,
-    powergate_study,
-    sweetspot_study,
-    table1b_epi_ept,
-    topology_study,
-)
-from repro.experiments.runner import SweepRunner, SweepSettings
-
-_EXPERIMENTS = {
-    "table1b": lambda runner: table1b_epi_ept.run(),
-    "fig2": fig2_energy_scaling.run,
-    "fig4": fig4_validation.run,
-    "fig6": fig6_edpse_onpackage.run,
-    "fig7": fig7_incremental.run,
-    "fig8": fig8_bandwidth.run,
-    "fig9": fig9_switch.run,
-    "fig10": fig10_speedup_energy.run,
-    "interconnect-energy": interconnect_energy_study.run,
-    "amortization": amortization_study.run,
-    "headline": headline.run,
-    # Extensions beyond the paper's evaluation (Section V-E directions).
-    "tables": lambda runner: config_tables.run(),
-    "compression": compression_study.run,
-    "locality": locality_ablation.run,
-    "powergate": powergate_study.run,
-    "idle": idle_study.run,
-    "edip": edip_study.run,
-    "topology": topology_study.run,
-    "sweetspot": sweetspot_study.run,
-    "capping": capping_study.run,
-}
 
 
 def _observed_pair(parser: argparse.ArgumentParser, args: argparse.Namespace):
@@ -620,31 +564,6 @@ def _dvfs_main(argv: list[str]) -> int:
     return 0
 
 
-def _add_screen_arguments(parser: argparse.ArgumentParser) -> None:
-    """The screening knobs shared by sweep-shaped subcommands."""
-    parser.add_argument(
-        "--screen",
-        choices=["roofline"],
-        default=None,
-        help=(
-            "analytically rank the sweep grid and simulate only the top-k"
-            " points (exact mode when omitted; see docs/MODELING.md)"
-        ),
-    )
-    parser.add_argument(
-        "--top-k",
-        type=int,
-        default=3,
-        help="screened points simulated per curve (default: 3)",
-    )
-    parser.add_argument(
-        "--guard",
-        type=int,
-        default=1,
-        help="extra guard points simulated beyond top-k (default: 1)",
-    )
-
-
 def _roofline_main(argv: list[str]) -> int:
     """``repro roofline``: predicted-vs-simulated table for one workload."""
     parser = argparse.ArgumentParser(
@@ -768,164 +687,18 @@ def _roofline_main(argv: list[str]) -> int:
     return 0
 
 
-def _capsweep_main(argv: list[str]) -> int:
-    """``repro capsweep``: EDPSE-vs-power-budget study (docs/POWER.md)."""
-    from repro.experiments import capping_study
-
-    parser = argparse.ArgumentParser(
-        prog="repro capsweep",
-        description=(
-            "Sweep chip power budgets across GPM counts with the"
-            " power-capping governor and report residency-priced EDPSE per"
-            " budget (see docs/POWER.md)."
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small grid (1/4 GPMs, two budgets, two workloads)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="also write the rendered tables to this path",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="simulation worker processes (default: auto)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the sweep result cache",
-    )
-    parser.add_argument(
-        "--governor",
-        choices=["utilization", "gate-only", "race-to-idle"],
-        default=None,
-        help=(
-            "attach per-GPM sleep states under this governor to every"
-            " configuration in the sweep (composes with the cap: a"
-            " race-to-idle ceiling rides inside the waterfill)"
-        ),
-    )
-    _add_screen_arguments(parser)
-    args = parser.parse_args(argv)
-
-    settings_kwargs = {}
-    if args.processes is not None:
-        settings_kwargs["processes"] = args.processes
-    if args.no_cache:
-        settings_kwargs["use_cache"] = False
-    runner = SweepRunner(SweepSettings(**settings_kwargs))
-
-    screen_kwargs = {}
-    if args.screen is not None:
-        screen_kwargs = {
-            "screen": args.screen, "top_k": args.top_k, "guard": args.guard
-        }
-    if args.governor is not None:
-        from repro.dvfs.idle import IdleConfig
-
-        screen_kwargs["idle"] = (
-            IdleConfig()
-            if args.governor == "gate-only"
-            else IdleConfig(governor=args.governor)
-        )
-    start = time.time()
-    if args.quick:
-        result = capping_study.run(
-            runner,
-            gpm_counts=(1, 4),
-            fractions=(None, 0.7),
-            workloads=("Stream", "BPROP"),
-            **screen_kwargs,
-        )
-    else:
-        result = capping_study.run(runner, **screen_kwargs)
-    rendered = result.render()
-    print(rendered)
-    print(f"[capsweep: {time.time() - start:.1f}s]")
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(rendered + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _idlestudy_main(argv: list[str]) -> int:
-    """``repro idlestudy``: governor comparison with real sleep states."""
-    from repro.experiments import idle_study
-
-    parser = argparse.ArgumentParser(
-        prog="repro idlestudy",
-        description=(
-            "Compare race-to-idle, deadline-paced, gate-only, and"
-            " utilization governors on per-GPM sleep states and report"
-            " residency-priced EDPSE per workload shape"
-            " (see docs/POWER.md)."
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=(
-            "one bursty + one steady workload under the"
-            " static/utilization/race-to-idle trio (the CI smoke shape)"
-        ),
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="also write the rendered tables to this path",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="simulation worker processes (default: auto)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the sweep result cache",
-    )
-    args = parser.parse_args(argv)
-
-    settings_kwargs = {}
-    if args.processes is not None:
-        settings_kwargs["processes"] = args.processes
-    if args.no_cache:
-        settings_kwargs["use_cache"] = False
-    runner = SweepRunner(SweepSettings(**settings_kwargs))
-
-    start = time.time()
-    result = idle_study.run(runner, quick=args.quick)
-    rendered = result.render()
-    print(rendered)
-    print(f"[idlestudy: {time.time() - start:.1f}s]")
-    if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(rendered + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _figures_main(argv: list[str]) -> int:
-    """``repro figures``: regenerate every fig* study into results/."""
-    from repro.experiments.figures import FIGURES, run_figures
+    """``repro figures``: regenerate studies into results/<study>/."""
+    from repro.experiments.figures import FIGURES, SCREENED, run_figures
+    from repro.experiments.runner import SweepRunner, SweepSettings
 
     parser = argparse.ArgumentParser(
         prog="repro figures",
         description=(
-            "Regenerate the paper-figure logs end-to-end: every"
-            " experiments/fig* study runs and writes its rendered tables"
-            " (log.txt) plus headline numbers (summary.txt) into"
-            " results/<figure>/ (see EXPERIMENTS.md)."
+            "Regenerate the study logs end-to-end: every registered study"
+            " (paper tables, figures, and extension studies) runs and writes"
+            " its rendered tables (log.txt) plus headline numbers"
+            " (summary.txt) into results/<study>/ (see EXPERIMENTS.md)."
         ),
     )
     parser.add_argument(
@@ -940,10 +713,10 @@ def _figures_main(argv: list[str]) -> int:
     parser.add_argument(
         "--only",
         action="append",
-        choices=sorted(FIGURES),
-        metavar="FIGURE",
+        choices=list(FIGURES),
+        metavar="STUDY",
         help=(
-            "regenerate just this figure (repeatable; default: all of"
+            "regenerate just this study (repeatable; default: all of"
             f" {', '.join(FIGURES)})"
         ),
     )
@@ -963,6 +736,28 @@ def _figures_main(argv: list[str]) -> int:
         action="store_true",
         help="ignore and do not write the sweep result cache",
     )
+    parser.add_argument(
+        "--screen",
+        choices=["roofline"],
+        default=None,
+        help=(
+            "analytically rank the study's grid and simulate only the top-k"
+            f" points ({', '.join(SCREENED)} only; exact mode when"
+            " omitted; see docs/MODELING.md)"
+        ),
+    )
+    parser.add_argument(
+        "--top-k",
+        type=int,
+        default=3,
+        help="screened points simulated per curve (default: 3)",
+    )
+    parser.add_argument(
+        "--guard",
+        type=int,
+        default=1,
+        help="extra guard points simulated beyond top-k (default: 1)",
+    )
     args = parser.parse_args(argv)
 
     settings_kwargs = {}
@@ -979,6 +774,9 @@ def _figures_main(argv: list[str]) -> int:
         runner=runner,
         quick=args.quick,
         echo=print,
+        screen=args.screen,
+        top_k=args.top_k,
+        guard=args.guard,
     )
     for name, fig_dir in written.items():
         print(f"wrote {fig_dir}/")
@@ -1213,17 +1011,23 @@ def _submit_main(argv: list[str]) -> int:
     return 0
 
 
+def _bench_main(argv: list[str]) -> int:
+    """``repro bench``: the simulator throughput benchmark."""
+    from repro.tools.bench_engine import main as bench_main
+
+    return bench_main(argv)
+
+
 #: Subcommand dispatch: every entry runs under the same ConfigError guard,
 #: so invalid configuration anywhere in the CLI is one stderr line + exit 2.
 _SUBCOMMANDS = {
+    "figures": _figures_main,
     "run": _run_main,
     "trace": _trace_main,
     "profile": _profile_main,
     "dvfs": _dvfs_main,
     "roofline": _roofline_main,
-    "capsweep": _capsweep_main,
-    "idlestudy": _idlestudy_main,
-    "figures": _figures_main,
+    "bench": _bench_main,
     "serve": _serve_main,
     "submit": _submit_main,
 }
@@ -1248,15 +1052,8 @@ def _guarded(name: str, command, argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point: parse arguments, run experiments, print their rows."""
+    """Entry point: dispatch to one subcommand."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _guarded(argv[0], _SUBCOMMANDS[argv[0]], argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.tools.bench_engine import main as bench_main
-
-        return _guarded("bench", bench_main, argv[1:])
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -1264,81 +1061,24 @@ def main(argv: list[str] | None = None) -> int:
             " Energy Efficiency in Multi-Module GPUs' (HPCA 2019)."
         ),
         epilog=(
-            "Observability subcommands: 'repro trace <workload>' captures a"
-            " Perfetto-viewable Chrome trace; 'repro profile <workload>'"
-            " prints component metrics; 'repro dvfs <workload>' sweeps the"
-            " V/f ladder and reports the energy sweet spot; 'repro capsweep'"
-            " sweeps chip power budgets and reports residency-priced EDPSE;"
-            " 'repro idlestudy' compares sleep-state governors; 'repro"
-            " figures' regenerates every fig* log in results/; 'repro"
-            " bench' measures simulator throughput.  See"
-            " docs/OBSERVABILITY.md, docs/POWER.md, and docs/PERFORMANCE.md."
+            "'repro figures' runs every study (paper tables, figures, and"
+            " extensions) into results/<study>/; the other subcommands"
+            " observe, benchmark, or serve single runs.  Run 'repro"
+            " <subcommand> --help' for its options.  See EXPERIMENTS.md,"
+            " docs/OBSERVABILITY.md, docs/POWER.md, and"
+            " docs/PERFORMANCE.md."
         ),
     )
     parser.add_argument(
-        "experiments",
-        nargs="+",
-        choices=sorted(_EXPERIMENTS) + ["all"],
-        metavar="experiment",
-        help="which tables/figures to regenerate ('all' for everything)",
+        "subcommand",
+        choices=list(_SUBCOMMANDS),
+        metavar="subcommand",
+        help=f"one of {', '.join(_SUBCOMMANDS)}",
     )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="simulation worker processes (default: auto)",
+    args = parser.parse_args(argv[:1])
+    return _guarded(
+        args.subcommand, _SUBCOMMANDS[args.subcommand], argv[1:]
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the sweep result cache",
-    )
-    _add_screen_arguments(parser)
-    args = parser.parse_args(argv)
-
-    def _experiments_main(_argv: list[str]) -> int:
-        from repro.errors import ConfigError
-
-        settings_kwargs = {}
-        if args.processes is not None:
-            settings_kwargs["processes"] = args.processes
-        if args.no_cache:
-            settings_kwargs["use_cache"] = False
-        runner = SweepRunner(SweepSettings(**settings_kwargs))
-
-        # Experiments whose grids the roofline screen can prune.
-        screenable = {
-            "sweetspot": sweetspot_study.run,
-            "capping": capping_study.run,
-        }
-        if "all" in args.experiments:
-            names = sorted(_EXPERIMENTS)
-        else:
-            names = list(dict.fromkeys(args.experiments))
-        if args.screen is not None:
-            unsupported = [n for n in names if n not in screenable]
-            if unsupported:
-                raise ConfigError(
-                    f"--screen applies to {sorted(screenable)} only,"
-                    f" got {unsupported}"
-                )
-        for name in names:
-            start = time.time()
-            if args.screen is not None and name in screenable:
-                result = screenable[name](
-                    runner, screen=args.screen,
-                    top_k=args.top_k, guard=args.guard,
-                )
-            else:
-                result = _EXPERIMENTS[name](runner)
-            print(result.render())
-            print(f"[{name}: {time.time() - start:.1f}s]")
-            print()
-        return 0
-
-    # Experiments run under the same guard as the subcommands, so e.g.
-    # `repro sweetspot --processes 0` fails with one line and exit 2 too.
-    return _guarded(args.experiments[0], _experiments_main, [])
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from repro.experiments.render import render_table
 from repro.experiments.runner import SweepRunner
 from repro.experiments.study import run_scaling_study, scaling_configs
 from repro.gpu.config import BandwidthSetting
+from repro.workloads.suite import SCALING_SUBSET
 
 PAPER_ENERGY_SAVING_50 = 22.3   # percent
 PAPER_EDPSE_GAIN_50 = 8.1       # percent
@@ -60,7 +61,11 @@ class AmortizationResult:
         )
 
 
-def run(runner: SweepRunner | None = None) -> AmortizationResult:
+def run(
+    runner: SweepRunner | None = None,
+    workload_abbrs: tuple[str, ...] = SCALING_SUBSET,
+    spec_for=None,
+) -> AmortizationResult:
     """Execute (or fetch from cache) the amortization study."""
     runner = runner or SweepRunner()
     configs = scaling_configs(BandwidthSetting.BW_2X, counts=(32,))
@@ -73,7 +78,9 @@ def run(runner: SweepRunner | None = None) -> AmortizationResult:
             return params.with_amortization(1.0 - _rate)
 
         study = run_scaling_study(
-            runner, configs, label=f"amortization-{rate}", params_for=params_for
+            runner, configs, label=f"amortization-{rate}",
+            params_for=params_for,
+            workload_abbrs=workload_abbrs, spec_for=spec_for,
         )
         by_rate[rate] = (study.mean_energy_ratio(32), study.mean_edpse(32))
     return AmortizationResult(by_rate=by_rate)

@@ -50,9 +50,9 @@ def capped_config(
 ) -> GpuConfig:
     """The Table III configuration under one budget fraction.
 
-    ``idle`` optionally gives every GPM the sleep ladder on top of the cap
-    (``repro capsweep --governor``); the attached governor composes with
-    the budget — a race-to-idle ceiling rides inside the waterfill.
+    ``idle`` optionally gives every GPM the sleep ladder on top of the cap;
+    the attached governor composes with the budget — a race-to-idle
+    ceiling rides inside the waterfill.
     """
     config = table_iii_config(num_gpms)
     if idle is not None:
@@ -64,7 +64,7 @@ def capped_config(
     )
 
 
-def _budget_label(fraction: float | None) -> str:
+def budget_label(fraction: float | None) -> str:
     return "uncapped" if fraction is None else f"{fraction:.0%} budget"
 
 
@@ -100,20 +100,20 @@ class CappingStudyResult:
         except KeyError as exc:
             raise ExperimentError(
                 f"no capping-study record for {workload!r} on {num_gpms} GPMs"
-                f" at {_budget_label(fraction)}"
+                f" at {budget_label(fraction)}"
             ) from exc
 
     def render(self) -> str:
         """The EDPSE-vs-budget surface and the reported-power check."""
         # Derive the axes from the computed surface so partial sweeps
-        # (e.g. ``repro capsweep --quick``) render what they actually ran.
+        # (e.g. the ``repro figures --quick`` tier) render what they ran.
         fractions = list(self.edpse)
         gpm_counts = sorted(
             {n for by_gpms in self.edpse.values() for n in by_gpms}
         )
         header = ["budget"] + [f"{n}-GPM" for n in gpm_counts]
         edpse_rows = [
-            [_budget_label(fraction)]
+            [budget_label(fraction)]
             + [self.edpse[fraction][n] for n in gpm_counts]
             for fraction in fractions
         ]
@@ -129,7 +129,7 @@ class CappingStudyResult:
             ),
         )
         power_rows = [
-            [_budget_label(fraction)]
+            [budget_label(fraction)]
             + [self.mean_power_w[fraction][n] for n in gpm_counts]
             for fraction in fractions
         ]
@@ -153,7 +153,7 @@ class CappingStudyResult:
         )
         if have_imbalance:
             imbalance_rows = [
-                [_budget_label(fraction)]
+                [budget_label(fraction)]
                 + [self.core_imbalance[fraction][n] for n in gpm_counts]
                 for fraction in fractions
             ]
@@ -239,7 +239,7 @@ def _screen_fractions(
         candidates,
         len(candidates),
         score=lambda fraction: -predicted[fraction],
-        tie_key=lambda fraction: (fraction, _budget_label(fraction)),
+        tie_key=lambda fraction: (fraction, budget_label(fraction)),
     )
     keep = set(ranked[: min(len(candidates), top_k + guard)])
     pruned = tuple(f for f in fractions if f is None or f in keep)
@@ -249,9 +249,9 @@ def _screen_fractions(
         "top_k": top_k,
         "guard": guard,
         "predicted_edpse": {
-            _budget_label(f): predicted[f] for f in ranked
+            budget_label(f): predicted[f] for f in ranked
         },
-        "skipped": [_budget_label(f) for f in fractions if f not in pruned],
+        "skipped": [budget_label(f) for f in fractions if f not in pruned],
     }
     return pruned, note
 
@@ -260,7 +260,8 @@ def run(
     runner: SweepRunner | None = None,
     gpm_counts: tuple[int, ...] = STUDY_GPM_COUNTS,
     fractions: tuple[float | None, ...] = BUDGET_FRACTIONS,
-    workloads: tuple[str, ...] = SCALING_SUBSET,
+    workload_abbrs: tuple[str, ...] = SCALING_SUBSET,
+    spec_for=None,
     screen: str | None = None,
     top_k: int = 3,
     guard: int = 1,
@@ -279,7 +280,8 @@ def run(
             "the capping study needs the uncapped baseline (fraction None)"
         )
     runner = runner or SweepRunner()
-    specs = [WORKLOAD_SPECS[abbr] for abbr in workloads]
+    spec_for = spec_for or WORKLOAD_SPECS.__getitem__
+    specs = [spec_for(abbr) for abbr in workload_abbrs]
     screen_note: dict | None = None
     if screen is not None:
         from repro.roofline.screen import validate_screen

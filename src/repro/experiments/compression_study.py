@@ -22,6 +22,7 @@ from repro.experiments.runner import SweepRunner
 from repro.experiments.study import run_scaling_study, scaling_configs
 from repro.gpu.config import BandwidthSetting, IntegrationDomain
 from repro.interconnect.compression import CompressionConfig
+from repro.workloads.suite import SCALING_SUBSET
 
 RATIOS = (1.0, 1.5, 2.0)
 
@@ -59,7 +60,11 @@ class CompressionResult:
         )
 
 
-def run(runner: SweepRunner | None = None) -> CompressionResult:
+def run(
+    runner: SweepRunner | None = None,
+    workload_abbrs: tuple[str, ...] = SCALING_SUBSET,
+    spec_for=None,
+) -> CompressionResult:
     """Execute (or fetch from cache) the compression extension study."""
     runner = runner or SweepRunner()
     by_ratio: dict[float, tuple[float, float, float]] = {}
@@ -78,7 +83,8 @@ def run(runner: SweepRunner | None = None) -> CompressionResult:
                 for n, config in configs.items()
             }
         study = run_scaling_study(
-            runner, configs, label=f"compression-{ratio:g}x"
+            runner, configs, label=f"compression-{ratio:g}x",
+            workload_abbrs=workload_abbrs, spec_for=spec_for,
         )
         by_ratio[ratio] = (
             study.geomean_speedup(32),

@@ -25,6 +25,7 @@ from repro.experiments.study import (
 )
 from repro.gpu.config import BandwidthSetting
 from repro.units import mean
+from repro.workloads.suite import SCALING_SUBSET
 
 
 @dataclass
@@ -69,11 +70,16 @@ class EdipResult:
         )
 
 
-def run(runner: SweepRunner | None = None) -> EdipResult:
+def run(
+    runner: SweepRunner | None = None,
+    workload_abbrs: tuple[str, ...] = SCALING_SUBSET,
+    spec_for=None,
+) -> EdipResult:
     """Execute (or fetch from cache) the metric-weighting study."""
     runner = runner or SweepRunner()
     configs = scaling_configs(BandwidthSetting.BW_2X)
     study = run_scaling_study(
-        runner, configs, label="edip", params_for=EnergyParams.for_config
+        runner, configs, label="edip", params_for=EnergyParams.for_config,
+        workload_abbrs=workload_abbrs, spec_for=spec_for,
     )
     return EdipResult(study=study)

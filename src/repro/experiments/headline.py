@@ -15,6 +15,7 @@ from repro.experiments.render import render_table
 from repro.experiments.runner import SweepRunner
 from repro.experiments.study import run_scaling_study, scaling_configs
 from repro.gpu.config import BandwidthSetting, IntegrationDomain
+from repro.workloads.suite import SCALING_SUBSET
 
 PAPER_BANDWIDTH_ONLY_SAVING = 27.4   # percent
 PAPER_TOTAL_SAVING = 45.0            # percent
@@ -54,7 +55,11 @@ class HeadlineResult:
         )
 
 
-def run(runner: SweepRunner | None = None) -> HeadlineResult:
+def run(
+    runner: SweepRunner | None = None,
+    workload_abbrs: tuple[str, ...] = SCALING_SUBSET,
+    spec_for=None,
+) -> HeadlineResult:
     """Execute (or fetch from cache) the headline comparison."""
     runner = runner or SweepRunner()
 
@@ -64,6 +69,7 @@ def run(runner: SweepRunner | None = None) -> HeadlineResult:
             BandwidthSetting.BW_1X, domain=IntegrationDomain.ON_BOARD, counts=(32,)
         ),
         label="on-board/1x",
+        workload_abbrs=workload_abbrs, spec_for=spec_for,
     )
     onboard_4x = run_scaling_study(
         runner,
@@ -71,11 +77,13 @@ def run(runner: SweepRunner | None = None) -> HeadlineResult:
             BandwidthSetting.BW_4X, domain=IntegrationDomain.ON_BOARD, counts=(32,)
         ),
         label="on-board/4x",
+        workload_abbrs=workload_abbrs, spec_for=spec_for,
     )
     onpackage_4x = run_scaling_study(
         runner,
         scaling_configs(BandwidthSetting.BW_4X, counts=(32,)),
         label="on-package/4x",
+        workload_abbrs=workload_abbrs, spec_for=spec_for,
     )
     return HeadlineResult(
         energy_onboard_1x=onboard_1x.mean_energy_ratio(32),

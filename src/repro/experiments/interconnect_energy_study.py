@@ -16,6 +16,7 @@ from repro.experiments.render import render_table
 from repro.experiments.runner import SweepRunner
 from repro.experiments.study import run_scaling_study, scaling_configs
 from repro.gpu.config import BandwidthSetting, IntegrationDomain
+from repro.workloads.suite import SCALING_SUBSET
 
 PAPER_MAX_EDPSE_IMPACT = 1.0          # percent, at 4x link energy
 PAPER_EDPSE_GAIN_TRADEOFF = 8.8       # percent, 2x BW at 4x energy/bit
@@ -58,7 +59,11 @@ class InterconnectEnergyResult:
         )
 
 
-def run(runner: SweepRunner | None = None) -> InterconnectEnergyResult:
+def run(
+    runner: SweepRunner | None = None,
+    workload_abbrs: tuple[str, ...] = SCALING_SUBSET,
+    spec_for=None,
+) -> InterconnectEnergyResult:
     """Execute (or fetch from cache) the link-energy point study."""
     runner = runner or SweepRunner()
     configs = scaling_configs(
@@ -76,6 +81,7 @@ def run(runner: SweepRunner | None = None) -> InterconnectEnergyResult:
         study = run_scaling_study(
             runner, configs, label=f"link-energy-{multiplier}x",
             params_for=params_for,
+            workload_abbrs=workload_abbrs, spec_for=spec_for,
         )
         edpse_by_multiplier[multiplier] = study.mean_edpse(32)
 
@@ -91,7 +97,9 @@ def run(runner: SweepRunner | None = None) -> InterconnectEnergyResult:
         return params.with_link_energy(BASE_PJ_PER_BIT * 4.0)
 
     tradeoff = run_scaling_study(
-        runner, tradeoff_configs, label="2xBW@4xE", params_for=tradeoff_params
+        runner, tradeoff_configs, label="2xBW@4xE",
+        params_for=tradeoff_params,
+        workload_abbrs=workload_abbrs, spec_for=spec_for,
     )
     return InterconnectEnergyResult(
         edpse_by_multiplier=edpse_by_multiplier,

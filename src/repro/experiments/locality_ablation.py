@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from repro.core.energy_model import EnergyModel, EnergyParams
 from repro.experiments.render import render_table
 from repro.experiments.runner import SweepRunner
-from repro.experiments.study import record_for
 from repro.gpu.config import BandwidthSetting, table_iii_config
 from repro.gpu.cta_scheduler import CtaPartitioning
 from repro.memory.pages import PlacementPolicy
 from repro.units import geomean, mean
-from repro.workloads.suite import SCALING_SUBSET
+from repro.workloads.suite import SCALING_SUBSET, WORKLOAD_SPECS
 
 NUM_GPMS = 8
 
@@ -69,9 +68,15 @@ class LocalityAblationResult:
         )
 
 
-def run(runner: SweepRunner | None = None) -> LocalityAblationResult:
+def run(
+    runner: SweepRunner | None = None,
+    workload_abbrs: tuple[str, ...] = SCALING_SUBSET,
+    spec_for=None,
+) -> LocalityAblationResult:
     """Execute (or fetch from cache) the locality ablation."""
     runner = runner or SweepRunner()
+    spec_for = spec_for or WORKLOAD_SPECS.__getitem__
+    specs = [spec_for(abbr) for abbr in workload_abbrs]
     per_arm_runs: dict[str, list] = {}
     for label, placement, partitioning in ARMS:
         config = table_iii_config(NUM_GPMS, BandwidthSetting.BW_2X)
@@ -81,9 +86,7 @@ def run(runner: SweepRunner | None = None) -> LocalityAblationResult:
             partitioning=partitioning,
             name=f"{config.label()}/{placement.value}/{partitioning.value}",
         )
-        per_arm_runs[label] = [
-            record_for(runner, abbr, config) for abbr in SCALING_SUBSET
-        ]
+        per_arm_runs[label] = runner.run([(spec, config) for spec in specs])
 
     baseline_label = ARMS[0][0]
     baseline = per_arm_runs[baseline_label]

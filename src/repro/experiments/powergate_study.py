@@ -26,6 +26,7 @@ from repro.experiments.render import render_table
 from repro.experiments.runner import SweepRunner
 from repro.experiments.study import run_scaling_study, scaling_configs
 from repro.gpu.config import BandwidthSetting, IntegrationDomain
+from repro.workloads.suite import SCALING_SUBSET
 
 EFFECTIVENESS = (0.0, 0.5, 0.9)
 
@@ -60,7 +61,11 @@ class PowerGateResult:
         )
 
 
-def run(runner: SweepRunner | None = None) -> PowerGateResult:
+def run(
+    runner: SweepRunner | None = None,
+    workload_abbrs: tuple[str, ...] = SCALING_SUBSET,
+    spec_for=None,
+) -> PowerGateResult:
     """Execute (or fetch from cache) the power-gating study."""
     runner = runner or SweepRunner()
     configs = scaling_configs(
@@ -94,6 +99,7 @@ def run(runner: SweepRunner | None = None) -> PowerGateResult:
                 configs,
                 label=f"gating-{effectiveness}-{gate_constant}",
                 params_for=params_for,
+                workload_abbrs=workload_abbrs, spec_for=spec_for,
             )
             by_setting[(effectiveness, gate_constant)] = (
                 study.mean_energy_ratio(32),

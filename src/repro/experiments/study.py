@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from repro.core.edpse import ScalingPoint
 from repro.core.energy_model import EnergyParams
 from repro.errors import ExperimentError
-from repro.experiments.results import RunRecord
 from repro.experiments.runner import SweepRunner
 from repro.gpu.config import (
     BandwidthSetting,
@@ -175,9 +174,3 @@ def incremental_ratio(values: dict[int, float], n: int) -> float:
         raise ExperimentError(f"{n} has no preceding scaling point")
     return values[n] / values[counts[index - 1]]
 
-
-def record_for(
-    runner: SweepRunner, abbr: str, config: GpuConfig
-) -> RunRecord:
-    """Fetch one (workload, config) record through the cache."""
-    return runner.run([(WORKLOAD_SPECS[abbr], config)])[0]

@@ -73,17 +73,6 @@ class SweetSpotStudyResult:
     #: which is exactly what screening avoids.
     screen: str | None = None
 
-    def domain_spot(
-        self, domain: ClockDomain, workload: str, num_gpms: int
-    ) -> SweetSpot:
-        try:
-            return self.domain_spots[domain.value][num_gpms][workload]
-        except KeyError as exc:
-            raise ExperimentError(
-                f"no {domain.value} sweet-spot sweep for {workload!r} on"
-                f" {num_gpms} GPMs"
-            ) from exc
-
     def spot(self, workload: str, num_gpms: int) -> SweetSpot:
         try:
             return self.spots[num_gpms][workload]
@@ -98,16 +87,17 @@ class SweetSpotStudyResult:
 
     def render(self) -> str:
         """The EDPSE surface and the per-workload sweet-spot table."""
+        counts = sorted(self.spots)
         sections = []
         if self.edpse:
             surface_rows = [
                 [f"{frequency / 1e6:.0f} MHz"]
-                + [self.edpse[frequency][n] for n in STUDY_GPM_COUNTS]
-                for frequency in STUDY_FREQUENCIES_HZ
+                + [self.edpse[frequency][n] for n in counts]
+                for frequency in self.edpse
             ]
             sections.append(render_table(
                 "Sweet-spot study: mean EDPSE (%) vs. core frequency",
-                ["core clock"] + [f"{n}-GPM" for n in STUDY_GPM_COUNTS],
+                ["core clock"] + [f"{n}-GPM" for n in counts],
                 surface_rows,
                 note=(
                     "EDPSE baseline: 1-GPM at the 745 MHz anchor (the paper's"
@@ -117,13 +107,13 @@ class SweetSpotStudyResult:
             ))
 
         spot_rows = []
-        for abbr in sorted(self.spots[STUDY_GPM_COUNTS[0]]):
+        for abbr in sorted(self.spots[counts[0]]):
             spec = WORKLOAD_SPECS[abbr]
             spot_rows.append(
                 [abbr, spec.category.value]
                 + [
                     f"{self.optimal_frequency_hz(abbr, n) / 1e6:.0f}"
-                    for n in STUDY_GPM_COUNTS
+                    for n in counts
                 ]
             )
         spot_note = (
@@ -148,7 +138,7 @@ class SweetSpotStudyResult:
             )
         spots = render_table(
             "Per-workload EDP-optimal core frequency (MHz)",
-            ["workload", "cat."] + [f"{n}-GPM" for n in STUDY_GPM_COUNTS],
+            ["workload", "cat."] + [f"{n}-GPM" for n in counts],
             spot_rows,
             note=spot_note,
         )
@@ -190,6 +180,9 @@ def run(
     screen: str | None = None,
     top_k: int = 3,
     guard: int = 1,
+    gpm_counts: tuple[int, ...] | None = None,
+    workload_abbrs: tuple[str, ...] | None = None,
+    spec_for=None,
 ) -> SweetSpotStudyResult:
     """Execute (or fetch from cache) the sweet-spot study.
 
@@ -201,10 +194,15 @@ def run(
     ``top_k + guard`` points per curve (same cache keys as the exhaustive
     sweep, see :mod:`repro.roofline.screen`); the EDPSE surface — which
     needs every frequency — is skipped in that mode.
+
+    ``gpm_counts`` (must include the 1-GPM baseline) also limits the
+    domain sweeps to the :data:`DOMAIN_GPM_COUNTS` entries it covers.
     """
     runner = runner or SweepRunner()
-    specs = [WORKLOAD_SPECS[abbr] for abbr in SCALING_SUBSET]
-    configs = [table_iii_config(n) for n in STUDY_GPM_COUNTS]
+    gpm_counts = STUDY_GPM_COUNTS if gpm_counts is None else gpm_counts
+    spec_for = spec_for or WORKLOAD_SPECS.__getitem__
+    specs = [spec_for(abbr) for abbr in workload_abbrs or SCALING_SUBSET]
+    configs = [table_iii_config(n) for n in gpm_counts]
     search = SweetSpotSearch(
         runner, metric="edp", points=study_points(),
         screen=screen, top_k=top_k, guard=guard,
@@ -220,7 +218,7 @@ def run(
         anchor = spots[1]
         for frequency in STUDY_FREQUENCIES_HZ:
             edpse[frequency] = {}
-            for n in STUDY_GPM_COUNTS:
+            for n in gpm_counts:
                 ratios = []
                 for abbr, spot in spots[n].items():
                     edp_baseline = (
@@ -232,7 +230,10 @@ def run(
 
     domain_spots: dict[str, dict[int, dict[str, SweetSpot]]] = {}
     if domains:
-        for domain, counts in DOMAIN_GPM_COUNTS.items():
+        for domain, all_counts in DOMAIN_GPM_COUNTS.items():
+            counts = [n for n in all_counts if n in gpm_counts]
+            if not counts:
+                continue
             domain_search = SweetSpotSearch(
                 runner, metric="edp", points=study_points(), domain=domain,
                 screen=screen, top_k=top_k, guard=guard,

@@ -72,7 +72,7 @@ class Table1bResult:
         )
 
 
-def run(seed: int = 40) -> Table1bResult:
+def run(_runner=None, seed: int = 40) -> Table1bResult:
     """Run the calibration campaign against a fresh silicon instance."""
     silicon = SiliconGpu(seed=seed)
     campaign = CalibrationCampaign(PowerMeter(silicon))

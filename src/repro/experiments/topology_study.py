@@ -23,6 +23,7 @@ from repro.experiments.render import render_table
 from repro.experiments.runner import SweepRunner
 from repro.experiments.study import StudyResult, run_scaling_study, scaling_configs
 from repro.gpu.config import BandwidthSetting, IntegrationDomain, TopologyKind
+from repro.workloads.suite import SCALING_SUBSET
 
 COUNTS = (8, 32)
 
@@ -60,7 +61,11 @@ class TopologyResult:
         )
 
 
-def run(runner: SweepRunner | None = None) -> TopologyResult:
+def run(
+    runner: SweepRunner | None = None,
+    workload_abbrs: tuple[str, ...] = SCALING_SUBSET,
+    spec_for=None,
+) -> TopologyResult:
     """Execute (or fetch from cache) the topology comparison."""
     runner = runner or SweepRunner()
     studies = {}
@@ -71,5 +76,8 @@ def run(runner: SweepRunner | None = None) -> TopologyResult:
             topology=kind,
             counts=COUNTS,
         )
-        studies[label] = run_scaling_study(runner, configs, label=label)
+        studies[label] = run_scaling_study(
+            runner, configs, label=label,
+            workload_abbrs=workload_abbrs, spec_for=spec_for,
+        )
     return TopologyResult(studies=studies)

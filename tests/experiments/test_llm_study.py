@@ -7,7 +7,7 @@ Two end-to-end guarantees ride here:
   even-wave prefill grid — asserted against real simulation;
 * ``repro figures --quick`` is deterministic: two runs into separate
   directories produce byte-identical quick logs and summaries for every
-  registered figure.
+  registered study.
 """
 
 import pytest
@@ -88,7 +88,6 @@ class TestFiguresHarness:
     def test_registry_names_match_directories(self):
         for name, job in FIGURES.items():
             assert job.name == name
-            assert name.startswith("fig")
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ExperimentError, match="unknown figure"):
@@ -96,7 +95,7 @@ class TestFiguresHarness:
 
     def test_quick_tier_is_byte_stable(self, runner, tmp_path):
         """The acceptance bar: two quick runs, identical bytes."""
-        names = ("fig2_energy_scaling", "figllm_study")
+        names = tuple(FIGURES)
         first = run_figures(
             names=names, out_dir=tmp_path / "a", runner=runner, quick=True
         )

@@ -1,45 +1,100 @@
-"""CLI surface: argument handling and experiment registry."""
+"""CLI surface: argument handling and the study registry."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import _EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments.figures import FIGURES
+
+REPO = Path(__file__).resolve().parents[1]
+EXPERIMENTS_DIR = REPO / "src" / "repro" / "experiments"
+
+#: The studies registered beside the paper figures; importing the registry
+#: must not import any of them.
+LAZY_STUDIES = (
+    "sweetspot_study", "capping_study", "idle_study", "table1b_epi_ept",
+    "config_tables", "headline", "amortization_study",
+    "interconnect_energy_study", "compression_study", "locality_ablation",
+    "powergate_study", "edip_study", "topology_study",
+)
+
+
+def study_modules_on_disk() -> set[str]:
+    """Every module under repro/experiments that defines a study ``run``."""
+    return {
+        path.stem
+        for path in EXPERIMENTS_DIR.glob("*.py")
+        if re.search(r"^def run\(", path.read_text(), re.M)
+    }
 
 
 class TestRegistry:
     def test_every_design_md_experiment_is_registered(self):
-        expected = {
-            "table1b", "fig2", "fig4", "fig6", "fig7", "fig8", "fig9",
-            "fig10", "interconnect-energy", "amortization", "headline",
-        }
-        assert expected <= set(_EXPERIMENTS)
+        design = (REPO / "DESIGN.md").read_text()
+        index = design[
+            design.index("## 4. Experiment index"):design.index("## 5.")
+        ]
+        modules = set(re.findall(r"`experiments\.(\w+)`", index))
+        assert modules == set(FIGURES)
 
     def test_extensions_registered(self):
-        assert {
-            "compression", "locality", "powergate", "edip", "sweetspot",
-            "idle",
-        } <= set(_EXPERIMENTS)
+        assert study_modules_on_disk() == set(FIGURES)
+        assert len(FIGURES) == 21
+
+    def test_registry_import_is_lazy(self):
+        code = (
+            "import sys, repro.experiments.figures\n"
+            f"names = {LAZY_STUDIES!r}\n"
+            "loaded = [n for n in names"
+            " if 'repro.experiments.' + n in sys.modules]\n"
+            "loaded += [m for m in ('repro.dvfs.sweetspot',)"
+            " if m in sys.modules]\n"
+            "print(loaded)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": str(REPO / "src")},
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestArguments:
     def test_unknown_experiment_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["not-an-experiment"])
-        assert excinfo.value.code != 0
+        for argv in (["not-an-experiment"], ["fig6"], ["all"],
+                     ["capsweep"], ["idlestudy"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code != 0
 
     def test_help_shows_usage(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
+        assert "figures" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figures", "--help"])
+        assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        assert "experiment" in out
-        assert "--no-cache" in out
+        assert "--only STUDY" in out
+        assert "--no-cache" in out and "--screen" in out
 
-    def test_multiple_experiments_accepted(self, capsys):
-        # 'tables' needs no simulation, so running it twice (deduplicated)
-        # exercises the multi-experiment path cheaply.
-        assert main(["tables", "tables"]) == 0
+    def test_multiple_experiments_accepted(self, capsys, tmp_path):
+        # 'config_tables' needs no simulation, so naming it twice
+        # (deduplicated) exercises the multi-study path cheaply.
+        assert main(
+            ["figures", "--only", "config_tables", "--only", "config_tables",
+             "--out", str(tmp_path)]
+        ) == 0
         out = capsys.readouterr().out
-        assert out.count("Table III: simulated multi-module GPU") == 1
+        assert out.count("[figures] config_tables:") == 1
+        assert "[figures: 1 figure(s)" in out
+        log = (tmp_path / "config_tables" / "log.txt").read_text()
+        assert log.count("Table III: simulated multi-module GPU") == 1
 
 
 class TestDvfsSubcommand:
@@ -155,7 +210,11 @@ class TestUnifiedErrorHandling:
                 ["profile", "Stream", "--gpms", "4", "--ctas", "16",
                  "--residual", "-0.1"],
             ),
-            ("capsweep", ["capsweep", "--quick", "--processes", "0"]),
+            (
+                "figures",
+                ["figures", "--only", "capping_study", "--quick",
+                 "--processes", "0"],
+            ),
             ("serve", ["serve", "--workers", "-1"]),
             ("serve", ["serve", "--aging-seconds", "0"]),
             (
@@ -199,7 +258,16 @@ class TestUnifiedErrorHandling:
                  "--port", "1"],
             ),
             ("figures", ["figures", "--quick", "--processes", "0"]),
-            ("sweetspot", ["sweetspot", "--processes", "0"]),
+            (
+                "figures",
+                ["figures", "--only", "sweetspot_study", "--processes", "0"],
+            ),
+            (
+                "figures",
+                # The screen only prunes the studies registered for it.
+                ["figures", "--only", "config_tables", "--screen",
+                 "roofline"],
+            ),
         ],
     )
     def test_config_errors_are_one_line_exit_2(self, capsys, name, argv):
@@ -211,7 +279,7 @@ class TestUnifiedErrorHandling:
 
     def test_serve_and_submit_are_dispatched(self, capsys):
         # --help exits 0 through argparse, proving the subcommands exist.
-        for name in ("serve", "submit", "idlestudy", "figures"):
+        for name in ("serve", "submit", "figures"):
             with pytest.raises(SystemExit) as excinfo:
                 main([name, "--help"])
             assert excinfo.value.code == 0
