@@ -2,26 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke perf-smoke perf-baseline differential reproduce figures figures-smoke examples trace-smoke service-smoke roofline-smoke idle-smoke clean-cache loc
+.PHONY: install test perf-smoke perf-baseline differential reproduce figures figures-smoke examples trace-smoke service-smoke roofline-smoke idle-smoke clean-cache loc
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# One fast benchmark per family, timing disabled — a CI-sized check that the
-# bench harness and its paper-shape assertions still hold.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest --benchmark-disable -q \
-	  benchmarks/bench_config_tables.py \
-	  benchmarks/bench_table1b.py \
-	  benchmarks/bench_simulator.py \
-	  benchmarks/bench_trace_overhead.py \
-	  benchmarks/bench_sweetspot.py::test_sweetspot_smoke
 
 # Simulator-throughput regression check: quick case, normalized events/sec
 # compared against the committed baseline (see docs/PERFORMANCE.md).
@@ -41,11 +28,13 @@ perf-baseline:
 # Regenerate every registered study into results/<study>/ (fills .cache/
 # on first run; the paper figures' and idle study's logs are committed, so
 # run this after any change that moves their numbers; see EXPERIMENTS.md).
+# Exits 2 if any study's paper claims fail on its full-tier grid.
 reproduce figures:
 	PYTHONPATH=src $(PYTHON) -m repro figures
 
 # Figure-harness smoke: the quick tier (shrunken workloads, reduced grid)
-# regenerates every study into gitignored quick*.txt files, then the
+# regenerates every study into gitignored quick*.txt files (checking the
+# Table Ib and config-table paper claims, which have no quick grid), then the
 # workload/figure property tests assert the phase-schedule invariants and
 # the llmstudy governor direction (see docs/WORKLOADS.md).
 figures-smoke:
@@ -66,14 +55,12 @@ service-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.tools.service_smoke
 
 # Roofline fast-path check: the committed error-bound manifest must hold
-# against a fresh golden re-simulation, the screened-sweep contract tests
-# must pass, and the screened-vs-exhaustive bench must clear its >= 5x bar
-# (see docs/MODELING.md).
+# against a fresh golden re-simulation, and the screened-sweep contract
+# tests must pass, including the screened-vs-exhaustive >= 5x bar of
+# tests/roofline/test_screen_speedup.py (see docs/MODELING.md).
 roofline-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.tools.roofline_bounds
 	PYTHONPATH=src $(PYTHON) -m pytest tests/roofline -q
-	PYTHONPATH=src $(PYTHON) -m pytest --benchmark-disable -q \
-	  benchmarks/bench_roofline.py
 
 # Idle-subsystem wall: the differential idle-off bit-identity suite, the
 # Hypothesis property wall for sleep states and governors, and
@@ -91,8 +78,11 @@ examples:
 	$(PYTHON) examples/interconnect_design_space.py
 	$(PYTHON) examples/datacenter_upgrade.py
 
+# Drops the sweep cache and the gitignored quick-tier outputs; the
+# committed full-tier logs under results/ stay.
 clean-cache:
-	rm -rf .cache results
+	rm -rf .cache
+	rm -f results/*/quick*.txt
 
 loc:
 	@echo "src:";        find src -name '*.py' | xargs wc -l | tail -1

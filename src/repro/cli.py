@@ -699,6 +699,8 @@ def _figures_main(argv: list[str]) -> int:
             " (paper tables, figures, and extension studies) runs and writes"
             " its rendered tables (log.txt) plus headline numbers"
             " (summary.txt) into results/<study>/ (see EXPERIMENTS.md)."
+            "  A study run on its full grid also checks its paper claims;"
+            " any that fail are listed on one line and the exit code is 2."
         ),
     )
     parser.add_argument(

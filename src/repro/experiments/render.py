@@ -1,21 +1,12 @@
-"""Plain-text rendering shared by experiment drivers and benches.
+"""Plain-text rendering shared by the experiment drivers.
 
-Every bench prints the same rows/series the paper's table or figure reports,
-via these helpers, so outputs stay uniform and greppable in CI logs.
+Every study renders the same rows/series the paper's table or figure
+reports through this helper, so outputs stay uniform and greppable.
 """
 
 from __future__ import annotations
 
 from repro.errors import ExperimentError
-
-
-def format_cell(value: object, width: int) -> str:
-    """Right-justify one cell, formatting floats to two decimals."""
-    if isinstance(value, float):
-        text = f"{value:.2f}"
-    else:
-        text = str(value)
-    return text.rjust(width)
 
 
 def render_table(
@@ -56,16 +47,3 @@ def render_table(
         lines.append("")
         lines.append(note)
     return "\n".join(lines)
-
-
-def render_comparison(
-    title: str,
-    rows: list[tuple[str, float, float]],
-    paper_label: str = "paper",
-    ours_label: str = "measured",
-) -> str:
-    """Render a paper-vs-measured comparison table."""
-    table_rows: list[list[object]] = [
-        [name, paper, ours] for name, paper, ours in rows
-    ]
-    return render_table(title, ["metric", paper_label, ours_label], table_rows)

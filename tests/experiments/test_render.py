@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.render import render_comparison, render_table
+from repro.experiments.render import render_table
 
 
 class TestRenderTable:
@@ -35,14 +35,3 @@ class TestRenderTable:
         text = render_table("T", ["v"], [[3.14159]])
         assert "3.14" in text
         assert "3.14159" not in text
-
-
-class TestRenderComparison:
-    def test_paper_vs_measured(self):
-        text = render_comparison(
-            "Check", [("metric-1", 2.0, 1.9), ("metric-2", 36.0, 33.1)]
-        )
-        assert "paper" in text
-        assert "measured" in text
-        assert "metric-1" in text
-        assert "1.90" in text

@@ -1,6 +1,6 @@
 """Roofline fast path: screened-vs-exhaustive wall clock and agreement.
 
-The tentpole claim in numbers: on a dense V/f x GPM grid, screening with
+The acceptance bar in numbers: on a dense V/f x GPM grid, screening with
 the closed-form predictor and simulating only the top-k+guard points per
 curve cuts sweep wall-clock by >= 5x while reporting the same best
 operating point.  Both arms run with ``use_cache=False`` so the comparison
@@ -45,49 +45,24 @@ def _runner() -> SweepRunner:
     return SweepRunner(SweepSettings(use_cache=False, processes=1))
 
 
-def test_roofline_screen_speedup(benchmark, results_dir):
+def _timed_search(specs, configs, **screen):
+    start = time.perf_counter()
+    spots = SweetSpotSearch(_runner(), points=GRID_POINTS, **screen).search(
+        specs, configs
+    )
+    return spots, time.perf_counter() - start
+
+
+def test_roofline_screen_speedup():
     specs = [
         shrunken_spec(name, total_ctas=48, kernels=1) for name in WORKLOADS
     ]
     configs = [table_iii_config(n) for n in GPM_COUNTS]
 
-    start = time.perf_counter()
-    exhaustive = SweetSpotSearch(_runner(), points=GRID_POINTS).search(
-        specs, configs
+    exhaustive, exhaustive_s = _timed_search(specs, configs)
+    screened, screened_s = _timed_search(
+        specs, configs, screen="roofline", top_k=TOP_K, guard=GUARD
     )
-    exhaustive_s = time.perf_counter() - start
-
-    def screened_run():
-        return SweetSpotSearch(
-            _runner(),
-            points=GRID_POINTS,
-            screen="roofline",
-            top_k=TOP_K,
-            guard=GUARD,
-        ).search(specs, configs)
-
-    # Timed by hand (not via benchmark.stats) so the smoke run with
-    # --benchmark-disable still measures and asserts the speedup.
-    start = time.perf_counter()
-    screened = benchmark.pedantic(screened_run, rounds=1, iterations=1)
-    screened_s = time.perf_counter() - start
-
-    curves = len(specs) * len(configs)
-    simulated = sum(len(spot.samples) for spot in screened)
-    scored = sum(spot.disposition.scored_points for spot in screened)
-    speedup = exhaustive_s / screened_s
-    lines = [
-        f"grid: {len(GRID_POINTS)} V/f points x {len(GPM_COUNTS)} GPM counts"
-        f" x {len(specs)} workloads ({curves} curves)",
-        f"exhaustive: {len(GRID_POINTS) * curves} simulations,"
-        f" {exhaustive_s:.2f}s",
-        f"screened:   {simulated} simulations ({scored} scored),"
-        f" {screened_s:.2f}s",
-        f"speedup:    {speedup:.1f}x",
-    ]
-    print()
-    print("\n".join(lines))
-    (results_dir / "roofline_screen.txt").write_text("\n".join(lines) + "\n")
 
     # Same winner on every curve — the screen is a filter, not a substitute.
     exact_best = {
@@ -101,4 +76,5 @@ def test_roofline_screen_speedup(benchmark, results_dir):
         assert spot.disposition.simulated_points == TOP_K + GUARD
 
     # The acceptance bar: screening pays for itself >= 5x on a dense grid.
+    speedup = exhaustive_s / screened_s
     assert speedup >= 5.0, f"screened speedup only {speedup:.1f}x"
