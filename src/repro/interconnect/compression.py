@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.interconnect.link import Link
-from repro.interconnect.topology import Topology, TransferResult
+from repro.interconnect.topology import Route, Topology
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,7 @@ class CompressedTopology(Topology):
         self.inner = inner
         self.config = config
         self.num_gpms = inner.num_gpms
+        self.routes = inner.routes
         self.codec_bytes = 0
         self.compressed_messages = 0
 
@@ -88,22 +89,18 @@ class CompressedTopology(Topology):
         """The wrapped topology's links."""
         return self.inner.links()
 
-    def transfer(
-        self, src: int, dst: int, nbytes: int, earliest: float | None = None
-    ) -> TransferResult:
+    def transfer_time(
+        self, route: Route, nbytes: int, earliest: float | None = None
+    ) -> float:
         """Compress eligible payloads, then transfer through the inner network."""
         config = self.config
         if not config.enabled or nbytes <= config.min_payload_bytes:
-            return self.inner.transfer(src, dst, nbytes, earliest=earliest)
+            return self.inner.transfer_time(route, nbytes, earliest)
         wire_bytes = max(1, round(nbytes / config.data_ratio))
         self.codec_bytes += nbytes
         self.compressed_messages += 1
-        result = self.inner.transfer(src, dst, wire_bytes, earliest=earliest)
-        return TransferResult(
-            completion_time=result.completion_time + config.codec_latency_cycles,
-            hops=result.hops,
-            switch_traversals=result.switch_traversals,
-        )
+        completion = self.inner.transfer_time(route, wire_bytes, earliest)
+        return completion + config.codec_latency_cycles
 
     def max_utilization(self, elapsed: float) -> float:
         """Bottleneck-link utilization of the wrapped topology."""

@@ -7,16 +7,61 @@ and the completion time is the latest link-completion plus the accumulated
 per-hop propagation latency.  This costs one event per transfer regardless of
 hop count, which is what keeps 32-GPM ring simulations cheap, while still
 letting congestion emerge from per-link queueing.
+
+Routes are static, so each topology keeps a :class:`RouteTable` that builds
+one :class:`Route` per ``(src, dst)`` pair on first lookup: the
+``(server, link)`` pairs in route order, their latency summed in that order,
+the hop count and the switch traversals.  A transfer
+(:meth:`Topology.transfer_time`) then takes one reservation per hop, and the
+caller reads the hop counts it charges off the same entry.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.interconnect.link import Link
 from repro.interconnect.traffic import TrafficCounters
+
+
+class Route:
+    """Everything a transfer on one ``(src, dst)`` route needs, built once."""
+
+    __slots__ = ("label", "pairs", "latency", "hops", "switch_traversals")
+
+    def __init__(
+        self, src: int, dst: int, links: list[Link], switch_traversals: int
+    ):
+        self.label = f"g{src}->g{dst}"
+        self.pairs = tuple((link.server, link) for link in links)
+        latency = 0.0
+        for link in links:
+            latency += link.config.latency_cycles
+        self.latency = latency
+        self.hops = len(links)
+        self.switch_traversals = switch_traversals
+
+
+class RouteTable(dict):
+    """``(src, dst) -> Route``, each entry built on its first lookup.
+
+    A lookup that hits is a plain dictionary subscript.  Endpoints the
+    builder rejects raise before anything is stored, so they raise on every
+    lookup.
+    """
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable[[int, int], Route]):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key: tuple[int, int]) -> Route:
+        route = self[key] = self._build(*key)
+        return route
 
 
 @dataclass(frozen=True)
@@ -38,8 +83,10 @@ class Topology(abc.ABC):
             )
         self.num_gpms = num_gpms
         self.traffic = TrafficCounters()
-        # Metric handles, bound lazily on first transfer (links carry the
-        # engine; the topology itself is constructed before it has one).
+        self.routes = RouteTable(self._build_route)
+        # Bound with the first route (links carry the engine; the topology
+        # itself is constructed before it has one).
+        self._engine = None
         self._transfer_bytes = None
         self._transfer_cycles = None
 
@@ -51,57 +98,74 @@ class Topology(abc.ABC):
     def links(self) -> list[Link]:
         """Every link in the network (diagnostics and tests)."""
 
-    def transfer(
-        self, src: int, dst: int, nbytes: int, earliest: float | None = None
-    ) -> TransferResult:
-        """Reserve a transfer of ``nbytes`` from GPM ``src`` to GPM ``dst``.
-
-        ``earliest`` bounds when injection may begin (payload availability).
-        Returns the completion time; the caller's process sleeps until then.
-        """
+    def _build_route(self, src: int, dst: int) -> Route:
         self._check_endpoints(src, dst)
         links, switch_traversals = self.route(src, dst)
         if not links:
             raise ConfigError(f"route {src}->{dst} has no links")
-        finish = 0.0
-        latency = 0.0
-        for link in links:
-            done = link.reserve(nbytes, earliest=earliest)
-            if done > finish:
-                finish = done
-            latency += link.config.latency_cycles
-        hops = len(links)
-        self.traffic.record(nbytes, hops, switch_traversals)
-        completion = finish + latency
-
-        engine = links[0].server.engine
-        if self._transfer_bytes is None:
+        if self._engine is None:
+            engine = self._engine = links[0].server.engine
             self._transfer_bytes = engine.metrics.histogram(
                 "interconnect.transfer_bytes", 32.0
             )
             self._transfer_cycles = engine.metrics.accumulator(
                 "interconnect.transfer_cycles"
             )
+        return Route(src, dst, links, switch_traversals)
+
+    def transfer_time(
+        self, route: Route, nbytes: int, earliest: float | None = None
+    ) -> float:
+        """Reserve a transfer of ``nbytes`` along ``route`` (an entry of
+        :attr:`routes`).
+
+        ``earliest`` bounds when injection may begin (payload availability).
+        Returns the completion time; the caller sleeps until then.
+        """
+        finish = 0.0
+        for server, link in route.pairs:
+            link.bytes_transferred += nbytes
+            link.transfers += 1
+            done = server.reserve(nbytes, earliest)
+            if done > finish:
+                finish = done
+        hops = route.hops
+        switch_traversals = route.switch_traversals
+        self.traffic.record(nbytes, hops, switch_traversals)
+        completion = finish + route.latency
+
+        engine = self._engine
         injected = engine.now if earliest is None else earliest
+        cycles = completion - injected
+        if not cycles > 0.0:
+            cycles = 0.0
         self._transfer_bytes.add(nbytes)
-        self._transfer_cycles.add(max(0.0, completion - injected))
+        self._transfer_cycles.add(cycles)
         tracer = engine.tracer
         if tracer.enabled:
             tracer.complete(
                 "interconnect",
-                f"g{src}->g{dst}",
+                route.label,
                 injected,
-                max(0.0, completion - injected),
+                cycles,
                 args={
                     "bytes": nbytes,
                     "hops": hops,
                     "switch_traversals": switch_traversals,
                 },
             )
+        return completion
+
+    def transfer(
+        self, src: int, dst: int, nbytes: int, earliest: float | None = None
+    ) -> TransferResult:
+        """Reserve a transfer of ``nbytes`` from GPM ``src`` to GPM ``dst``
+        and return its completion time with the route's hop counts."""
+        route = self.routes[src, dst]
         return TransferResult(
-            completion_time=completion,
-            hops=hops,
-            switch_traversals=switch_traversals,
+            completion_time=self.transfer_time(route, nbytes, earliest),
+            hops=route.hops,
+            switch_traversals=route.switch_traversals,
         )
 
     def _check_endpoints(self, src: int, dst: int) -> None:

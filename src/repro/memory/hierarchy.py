@@ -242,13 +242,14 @@ class GpmMemory:
         topology = self._require_topology()
         yield engine.wait_until(start)
 
-        request = topology.transfer(self.gpm_id, home, REQUEST_HEADER_BYTES)
+        route = topology.routes[self.gpm_id, home]
+        arrival = topology.transfer_time(route, REQUEST_HEADER_BYTES)
         counters.inter_gpm_bytes += REQUEST_HEADER_BYTES
-        counters.inter_gpm_byte_hops += REQUEST_HEADER_BYTES * request.hops
+        counters.inter_gpm_byte_hops += REQUEST_HEADER_BYTES * route.hops
         counters.switch_byte_traversals += (
-            REQUEST_HEADER_BYTES * request.switch_traversals
+            REQUEST_HEADER_BYTES * route.switch_traversals
         )
-        yield engine.wait_until(request.completion_time)
+        yield engine.wait_until(arrival)
 
         peer = self.peers[home]
         if peer.l2.probe(line_address):
@@ -262,13 +263,14 @@ class GpmMemory:
             data_ready = peer.dram.read(CACHE_LINE_BYTES)
         yield engine.wait_until(data_ready)
 
-        response = topology.transfer(home, self.gpm_id, CACHE_LINE_BYTES)
+        route = topology.routes[home, self.gpm_id]
+        arrival = topology.transfer_time(route, CACHE_LINE_BYTES)
         counters.inter_gpm_bytes += CACHE_LINE_BYTES
-        counters.inter_gpm_byte_hops += CACHE_LINE_BYTES * response.hops
+        counters.inter_gpm_byte_hops += CACHE_LINE_BYTES * route.hops
         counters.switch_byte_traversals += (
-            CACHE_LINE_BYTES * response.switch_traversals
+            CACHE_LINE_BYTES * route.switch_traversals
         )
-        yield engine.wait_until(response.completion_time)
+        yield engine.wait_until(arrival)
         self._remote_load_cycles.add(engine.now - start)
         if self._trace:
             self._tracer.complete(
@@ -305,13 +307,14 @@ class GpmMemory:
         engine = self.engine
         topology = self._require_topology()
         yield engine.wait_until(start)
-        transfer = topology.transfer(self.gpm_id, home, CACHE_LINE_BYTES)
+        route = topology.routes[self.gpm_id, home]
+        arrival = topology.transfer_time(route, CACHE_LINE_BYTES)
         counters.inter_gpm_bytes += CACHE_LINE_BYTES
-        counters.inter_gpm_byte_hops += CACHE_LINE_BYTES * transfer.hops
+        counters.inter_gpm_byte_hops += CACHE_LINE_BYTES * route.hops
         counters.switch_byte_traversals += (
-            CACHE_LINE_BYTES * transfer.switch_traversals
+            CACHE_LINE_BYTES * route.switch_traversals
         )
-        yield engine.wait_until(transfer.completion_time)
+        yield engine.wait_until(arrival)
         # The drain writes the home module's DRAM: home shard, as above.
         self.peers[home].counters.dram_l2_txns += SECTORS_PER_LINE
         self.peers[home].dram.write(CACHE_LINE_BYTES)
