@@ -253,6 +253,26 @@ class Engine:
         heapq.heappush(self._heap, (self.now + delay, self._seq, callback, value))
         self._seq += 1
 
+    def call_at(self, when: float, callback: Any) -> None:
+        """Run ``callback(None)`` at absolute time ``when`` (>= now).
+
+        Takes exactly the slot a process's ``yield engine.wait_until(when)``
+        would: the heap at ``now + delay`` for a positive delay, the now
+        queue for a zero one.  Multi-stage continuations (the remote memory
+        path) chain their bound-method stages through it.
+        """
+        now = self.now
+        delay = when - now
+        if delay > 0.0:
+            heapq.heappush(self._heap, (now + delay, self._seq, callback, None))
+            self._seq += 1
+        elif when < now - 1e-9:
+            raise SimulationError(
+                f"call_at target {when!r} is before current time {now!r}"
+            )
+        else:
+            self._nowq.append((callback, None))
+
     def event(self) -> Event:
         """Create a fresh one-shot event bound to this engine."""
         return Event(self)
