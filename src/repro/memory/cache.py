@@ -15,14 +15,11 @@ bulk-invalidate remote lines at kernel boundaries (software coherence).
 Two implementations share the exact same contract:
 
 * :class:`Cache` — the production tag store on the simulator hot path.  Each
-  way is a plain 3-slot list cell ``[tag, dirty, home]`` ordered MRU-first,
-  sets are created lazily on first touch, and the eviction path *reuses* the
-  victim's cell for the incoming line instead of allocating.  This layout was
-  chosen by microbenchmark: the simulated workloads are miss-dominated
-  (streaming traffic misses nearly every L1 probe), and cell reuse plus
-  allocation-free probes beat both the original per-line objects and a flat
-  numpy tag/LRU array layout, whose per-access scalar indexing costs more
-  than the Python list walk it replaces (see docs/PERFORMANCE.md).
+  set is a list of bare tags ordered MRU-first, created lazily on first
+  touch, so a lookup is one C-level ``in`` and an LRU update one
+  ``remove``/``insert``.  A tag maps to exactly one set, so the per-line
+  home GPM and dirty bit live in two cache-wide structures keyed by tag
+  (a dict and a set) that only the miss and store paths touch.
 * :class:`ReferenceCache` — the original per-line-object implementation,
   kept verbatim as the executable specification.  The property suite in
   ``tests/differential/test_cache_equivalence.py`` replays random access
@@ -110,11 +107,6 @@ class CacheStats:
         self.invalidations += other.invalidations
 
 
-# Cell layout of the production tag store: each way is a plain list
-# [tag, dirty, home], MRU-first within its set.
-_TAG, _DIRTY, _HOME = 0, 1, 2
-
-
 class Cache:
     """True-LRU set-associative cache with per-line home-GPM tracking."""
 
@@ -127,6 +119,8 @@ class Cache:
         "_write_back",
         "_write_allocate",
         "_sets",
+        "_homes",
+        "_dirty",
     )
 
     def __init__(self, config: CacheConfig):
@@ -140,22 +134,17 @@ class Cache:
         # Sets are created lazily: large caches in large GPM counts touch a
         # small fraction of their sets in a short kernel, and a [None] * n
         # backbone is much cheaper to build than n empty lists.
-        self._sets: list[list[list] | None] = [None] * self._num_sets
-
-    def _locate(self, address: int) -> tuple[int, int]:
-        line_addr = address >> self._line_shift
-        return line_addr % self._num_sets, line_addr
+        self._sets: list[list[int] | None] = [None] * self._num_sets
+        #: Home GPM of every resident tag.
+        self._homes: dict[int, int] = {}
+        #: Resident tags holding dirty data (write-back caches only).
+        self._dirty: set[int] = set()
 
     def probe(self, address: int) -> bool:
         """Non-mutating presence check (no LRU update, no stats)."""
         tag = address >> self._line_shift
         ways = self._sets[tag % self._num_sets]
-        if not ways:
-            return False
-        for cell in ways:
-            if cell[_TAG] == tag:
-                return True
-        return False
+        return ways is not None and tag in ways
 
     def access(
         self, address: int, is_store: bool = False, home: int = 0
@@ -172,29 +161,24 @@ class Cache:
             access displaced a dirty line that must be written downstream.
         """
         tag = address >> self._line_shift
-        sets = self._sets
         index = tag % self._num_sets
-        ways = sets[index]
-        stats = self.stats
-        if ways:
-            position = 0
-            for cell in ways:
-                if cell[_TAG] == tag:
-                    if position:
-                        del ways[position]
-                        ways.insert(0, cell)
-                    if is_store:
-                        stats.write_hits += 1
-                        if self._write_back:
-                            cell[_DIRTY] = True
-                    else:
-                        stats.read_hits += 1
-                    return True, False
-                position += 1
-        elif ways is None:
-            ways = sets[index] = []
+        ways = self._sets[index]
+        if ways is None:
+            ways = self._sets[index] = []
+        elif tag in ways:
+            if ways[0] != tag:
+                ways.remove(tag)
+                ways.insert(0, tag)
+            if is_store:
+                self.stats.write_hits += 1
+                if self._write_back:
+                    self._dirty.add(tag)
+            else:
+                self.stats.read_hits += 1
+            return True, False
 
         # Miss path.
+        stats = self.stats
         if is_store:
             stats.write_misses += 1
             if not self._write_allocate:
@@ -202,23 +186,22 @@ class Cache:
         else:
             stats.read_misses += 1
 
+        homes = self._homes
+        dirty_evicted = False
         if len(ways) >= self._associativity:
-            cell = ways.pop()
+            victim = ways.pop()
+            del homes[victim]
             stats.evictions += 1
-            dirty_evicted = cell[_DIRTY]
-            if dirty_evicted:
+            dirty = self._dirty
+            if victim in dirty:
+                dirty.remove(victim)
                 stats.dirty_evictions += 1
-            # Reuse the victim's cell for the incoming line: the eviction
-            # path runs once per miss in a full set — the steady state of a
-            # streaming workload — and skipping the allocation is the bulk
-            # of this implementation's win over per-line objects.
-            cell[_TAG] = tag
-            cell[_DIRTY] = is_store and self._write_back
-            cell[_HOME] = home
-            ways.insert(0, cell)
-            return False, dirty_evicted
-        ways.insert(0, [tag, is_store and self._write_back, home])
-        return False, False
+                dirty_evicted = True
+        ways.insert(0, tag)
+        homes[tag] = home
+        if is_store and self._write_back:
+            self._dirty.add(tag)
+        return False, dirty_evicted
 
     def invalidate_where(self, predicate) -> int:
         """Drop every line for which ``predicate(home_gpm) is True``.
@@ -229,15 +212,19 @@ class Cache:
 
         Returns the number of lines invalidated.
         """
-        invalidated = 0
-        for ways in self._sets:
-            if not ways:
-                continue
-            keep = [cell for cell in ways if not predicate(cell[_HOME])]
-            invalidated += len(ways) - len(keep)
-            ways[:] = keep
-        self.stats.invalidations += invalidated
-        return invalidated
+        homes = self._homes
+        # Lines share a handful of homes: ask the predicate once per home.
+        verdicts = {home: predicate(home) for home in set(homes.values())}
+        doomed = [tag for tag, home in homes.items() if verdicts[home]]
+        if doomed:
+            sets = self._sets
+            num_sets = self._num_sets
+            for tag in doomed:
+                sets[tag % num_sets].remove(tag)
+                del homes[tag]
+            self._dirty.difference_update(doomed)
+        self.stats.invalidations += len(doomed)
+        return len(doomed)
 
     def flush(self) -> int:
         """Invalidate everything (kernel-boundary flush of a whole cache)."""
@@ -245,7 +232,7 @@ class Cache:
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets if ways)
+        return len(self._homes)
 
     def __repr__(self) -> str:
         cfg = self.config
