@@ -97,6 +97,23 @@ class TestTransfers:
         with pytest.raises(ConfigError):
             ring.transfer(0, 4, 128)
 
+    @pytest.mark.parametrize(
+        "src, dst", [(2, 2), (0, 4), (4, 0), (-1, 1), (1, -1), (0, 0)]
+    )
+    def test_bad_endpoints_raise_after_routes_are_cached(self, src, dst):
+        ring = make_ring(4)
+        for a in range(4):
+            for b in range(4):
+                if a != b:
+                    ring.transfer(a, b, 128)
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                ring.routes[src, dst]
+            with pytest.raises(ConfigError):
+                ring.transfer(src, dst, 128)
+        assert ring.traffic.messages == 12
+        assert len(ring.routes) == 12
+
     def test_bottleneck_utilization(self):
         ring = make_ring(4)
         ring.transfer(0, 1, 100_000)

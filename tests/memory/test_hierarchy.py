@@ -187,6 +187,21 @@ class TestRemoteAccess:
         with pytest.raises(ConfigError):
             engine.run()
 
+    def test_remote_store_without_topology_raises(self, engine):
+        counters = CounterSet()
+        placement = PagePlacement(num_gpms=2)
+        gpm0 = build_gpm(engine, 0, 2, placement, counters)
+        gpm0.connect(None, [gpm0])
+        placement.home(0x100000, toucher_gpm=1)
+        # The store itself completes when its data leaves the SM; the drain
+        # finds the missing interconnect on its first engine step.
+        done, events = gpm0.access(
+            0, MemAccess(address=0x100000, size=128, is_store=True), 0.0
+        )
+        assert done == gpm0.latencies.l1 and not events
+        with pytest.raises(ConfigError):
+            engine.run()
+
 
 class TestLatencyValidation:
     def test_negative_latency_rejected(self):

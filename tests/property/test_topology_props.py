@@ -2,6 +2,7 @@
 
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.interconnect.compression import CompressedTopology, CompressionConfig
 from repro.interconnect.mesh import MeshTopology
 from repro.interconnect.ring import RingTopology
 from repro.interconnect.switch import SwitchTopology
@@ -35,7 +36,56 @@ def build(kind, num_gpms):
         return RingTopology(engine, num_gpms, **kwargs)
     if kind == "mesh":
         return MeshTopology(engine, num_gpms, **kwargs)
+    if kind == "compressed":
+        return CompressedTopology(
+            RingTopology(engine, num_gpms, **kwargs), COMPRESSION
+        )
     return SwitchTopology(engine, num_gpms, **kwargs)
+
+
+COMPRESSION = CompressionConfig(data_ratio=2.5)
+
+
+def reference_transfer(topology, src, dst, nbytes, earliest):
+    """An uncached transfer that walks ``route()`` on every call.
+
+    Returns ``(completion_time, hops, switch_traversals)``; reserves the
+    same link capacity the cached path does.
+    """
+    extra = 0.0
+    if isinstance(topology, CompressedTopology):
+        config = topology.config
+        if nbytes > config.min_payload_bytes:
+            nbytes = max(1, round(nbytes / config.data_ratio))
+            extra = config.codec_latency_cycles
+        topology = topology.inner
+    links, switch_traversals = topology.route(src, dst)
+    finish = 0.0
+    latency = 0.0
+    for link in links:
+        finish = max(finish, link.reserve(nbytes, earliest=earliest))
+        latency += link.config.latency_cycles
+    return finish + latency + extra, len(links), switch_traversals
+
+
+@st.composite
+def transfer_sequences(draw):
+    """(kind, n, [(src, dst, nbytes, earliest), ...]) on one topology."""
+    kind = draw(st.sampled_from(["ring", "mesh", "switch", "compressed"]))
+    n = draw(st.sampled_from([2, 4, 8, 16]))
+    ops = []
+    clock = 0.0
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        src = draw(st.integers(min_value=0, max_value=n - 1))
+        dst = draw(st.integers(min_value=0, max_value=n - 2))
+        dst = dst if dst < src else dst + 1
+        nbytes = draw(st.sampled_from([32, 64, 128, 1000, 4096]))
+        if draw(st.booleans()):
+            clock += draw(st.floats(min_value=0.0, max_value=500.0))
+            ops.append((src, dst, nbytes, clock))
+        else:
+            ops.append((src, dst, nbytes, None))
+    return kind, n, ops
 
 
 class TestRoutingInvariants:
@@ -93,3 +143,26 @@ class TestRoutingInvariants:
         assert topology.traffic.bytes_injected == nbytes
         assert topology.traffic.byte_hops == nbytes * result.hops
         assert result.completion_time > 0
+
+    @given(transfer_sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_route_table_matches_uncached_reference(self, case):
+        """Cached routes give the completion times, hops and link state an
+        uncached walk of ``route()`` gives, call for call."""
+        kind, n, ops = case
+        cached = build(kind, n)
+        reference = build(kind, n)
+        for src, dst, nbytes, earliest in ops:
+            route = cached.routes[src, dst]
+            got = cached.transfer_time(route, nbytes, earliest)
+            want, hops, switch_traversals = reference_transfer(
+                reference, src, dst, nbytes, earliest
+            )
+            assert got == want
+            assert (route.hops, route.switch_traversals) == (
+                hops, switch_traversals
+            )
+        for mine, theirs in zip(cached.links(), reference.links()):
+            assert mine.bytes_transferred == theirs.bytes_transferred
+            assert mine.transfers == theirs.transfers
+            assert mine.server.free_at == theirs.server.free_at

@@ -301,6 +301,48 @@ class TestDispatchOrdering:
         assert order == ["queued-first", "late"]
         assert engine.now == 2.0
 
+    def test_call_at_takes_the_slot_of_wait_until(self):
+        # A chain of call_at stages must interleave with other work exactly
+        # as a process yielding wait_until on the same targets does: same
+        # order, same clock, same event count.
+        targets = [0.0, 5.0, 5.0, 7.5, 7.5 - 1e-12]
+
+        def program(continuation):
+            engine = Engine()
+            order = []
+            for when in (5.0, 7.5):
+                engine.schedule(when, lambda _v, w=when: order.append(("other", w)))
+            if continuation:
+                remaining = list(targets)
+
+                def stage(_v):
+                    order.append(("chain", engine.now))
+                    if remaining:
+                        engine.call_at(remaining.pop(0), stage)
+
+                engine.schedule(0.0, stage)
+            else:
+
+                def body():
+                    for when in targets:
+                        order.append(("chain", engine.now))
+                        yield engine.wait_until(when)
+                    order.append(("chain", engine.now))
+
+                engine.process(body())
+            for when in (5.0, 7.5):
+                engine.schedule(when, lambda _v, w=when: order.append(("late", w)))
+            engine.run()
+            return order, engine.now, engine.events_processed
+
+        assert program(continuation=True) == program(continuation=False)
+
+    def test_call_at_past_rejected(self):
+        engine = Engine()
+        engine.schedule(5.0, lambda _v: engine.call_at(1.0, lambda _v: None))
+        with pytest.raises(SimulationError):
+            engine.run()
+
     def test_events_processed_counts_every_callback(self):
         engine = Engine()
         engine.schedule(1.0, lambda _v: None)

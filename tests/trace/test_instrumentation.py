@@ -94,6 +94,76 @@ class TestMetricsCoverage:
         assert metrics.accumulator("dram.queue_cycles").count > 0
 
 
+@pytest.fixture(scope="module")
+def traced_remote_run():
+    from tests.differential.test_remote_path_identity import (
+        CONFIGS,
+        REMOTE_HEAVY,
+    )
+
+    config = CONFIGS["4gpm-ring"]
+    tracer = ChromeTracer()
+    metrics = MetricsRegistry()
+    simulate(build_workload(REMOTE_HEAVY), config, tracer=tracer, metrics=metrics)
+    return tracer, metrics, config.num_gpms
+
+
+def _names_on(tracer: ChromeTracer, track: str, ph: str) -> list[dict]:
+    tid = tracer._tids[track]
+    return [e for e in tracer.events() if e["tid"] == tid and e["ph"] == ph]
+
+
+class TestRemoteSpans:
+    """Each remote load and store keeps its `engine` lifetime span."""
+
+    def test_one_rload_span_per_remote_l2_miss(self, traced_remote_run):
+        tracer, metrics, num_gpms = traced_remote_run
+        engine_spans = _names_on(tracer, "engine", "X")
+        total = 0
+        for gpm in range(num_gpms):
+            track = f"gpm{gpm}.mem"
+            remote_misses = [
+                e for e in _names_on(tracer, track, "i")
+                if e["name"] == "l2.miss" and e["args"]["home"] != gpm
+            ]
+            rloads = [e for e in engine_spans if e["name"] == f"gpm{gpm}.rload"]
+            loads = [
+                e for e in _names_on(tracer, track, "X")
+                if e["name"].startswith("remote_load->g")
+            ]
+            assert len(rloads) == len(remote_misses) == len(loads)
+            total += len(rloads)
+        assert total == metrics.accumulator("memory.remote_load_cycles").count
+        assert total > 100
+
+    def test_one_rstore_span_per_remote_store(self, traced_remote_run):
+        tracer, metrics, num_gpms = traced_remote_run
+        engine_spans = _names_on(tracer, "engine", "X")
+        total = 0
+        for gpm in range(num_gpms):
+            rstores = [
+                e for e in engine_spans if e["name"] == f"gpm{gpm}.rstore"
+            ]
+            drains = [
+                e for e in _names_on(tracer, f"gpm{gpm}.mem", "X")
+                if e["name"].startswith("remote_store->g")
+            ]
+            assert len(rstores) == len(drains)
+            # The engine span opens when the store issues, one L1 latency
+            # before the drain leaves the SM, and both close together.
+            for span, drain in zip(
+                sorted(rstores, key=lambda e: e["ts"] + e["dur"]),
+                sorted(drains, key=lambda e: e["ts"] + e["dur"]),
+            ):
+                assert span["ts"] <= drain["ts"]
+                assert span["ts"] + span["dur"] == pytest.approx(
+                    drain["ts"] + drain["dur"]
+                )
+            total += len(rstores)
+        assert total == metrics.accumulator("memory.remote_store_cycles").count
+        assert total > 100
+
+
 class TestDefaultRunHasNoObservability:
     def test_untraced_run_keeps_null_tracer_and_empty_metrics(self):
         from repro.trace import NULL_TRACER
