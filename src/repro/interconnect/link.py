@@ -38,7 +38,7 @@ class LinkConfig:
 class Link:
     """One unidirectional link between two endpoints (GPMs or switch ports)."""
 
-    __slots__ = ("config", "server", "src", "dst", "bytes_transferred", "transfers")
+    __slots__ = ("config", "server", "src", "dst")
 
     def __init__(
         self,
@@ -56,8 +56,6 @@ class Link:
             gbps_to_bytes_per_cycle(config.bandwidth_gbps, clock_hz),
             name=f"link:{src}->{dst}",
         )
-        self.bytes_transferred = 0
-        self.transfers = 0
 
     def reserve(self, nbytes: int, earliest: float | None = None) -> float:
         """Reserve ``nbytes`` of link capacity; returns serialization-complete
@@ -66,9 +64,17 @@ class Link:
         ``earliest`` bounds when serialization may begin, used when the
         payload only becomes available after an upstream stage completes.
         """
-        self.bytes_transferred += nbytes
-        self.transfers += 1
         return self.server.reserve(nbytes, earliest=earliest)
+
+    @property
+    def bytes_transferred(self) -> int:
+        """Bytes serialized on this link so far (its server's units)."""
+        return int(self.server.units_served)
+
+    @property
+    def transfers(self) -> int:
+        """Transfers that crossed this link so far."""
+        return self.server.requests
 
     def queue_delay(self) -> float:
         """Cycles a byte arriving now would wait before serialization."""

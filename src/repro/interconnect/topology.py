@@ -9,9 +9,9 @@ hop count, which is what keeps 32-GPM ring simulations cheap, while still
 letting congestion emerge from per-link queueing.
 
 Routes are static, so each topology keeps a :class:`RouteTable` that builds
-one :class:`Route` per ``(src, dst)`` pair on first lookup: the
-``(server, link)`` pairs in route order, their latency summed in that order,
-the hop count and the switch traversals.  A transfer
+one :class:`Route` per ``(src, dst)`` pair on first lookup: the links'
+bandwidth servers in route order, their latency summed in that order, the
+hop count and the switch traversals.  A transfer
 (:meth:`Topology.transfer_time`) then takes one reservation per hop, and the
 caller reads the hop counts it charges off the same entry.
 """
@@ -30,13 +30,13 @@ from repro.interconnect.traffic import TrafficCounters
 class Route:
     """Everything a transfer on one ``(src, dst)`` route needs, built once."""
 
-    __slots__ = ("label", "pairs", "latency", "hops", "switch_traversals")
+    __slots__ = ("label", "servers", "latency", "hops", "switch_traversals")
 
     def __init__(
         self, src: int, dst: int, links: list[Link], switch_traversals: int
     ):
         self.label = f"g{src}->g{dst}"
-        self.pairs = tuple((link.server, link) for link in links)
+        self.servers = tuple(link.server for link in links)
         latency = 0.0
         for link in links:
             latency += link.config.latency_cycles
@@ -123,9 +123,7 @@ class Topology(abc.ABC):
         Returns the completion time; the caller sleeps until then.
         """
         finish = 0.0
-        for server, link in route.pairs:
-            link.bytes_transferred += nbytes
-            link.transfers += 1
+        for server in route.servers:
             done = server.reserve(nbytes, earliest)
             if done > finish:
                 finish = done
