@@ -48,9 +48,9 @@ class Route:
 class RouteTable(dict):
     """``(src, dst) -> Route``, each entry built on its first lookup.
 
-    A lookup that hits is a plain dictionary subscript.  Endpoints the
-    builder rejects raise before anything is stored, so they raise on every
-    lookup.
+    A lookup that hits is a plain dictionary subscript.  Endpoints that
+    ``build`` rejects raise before anything is stored, so they raise on
+    every lookup.
     """
 
     __slots__ = ("_build",)

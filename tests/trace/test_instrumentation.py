@@ -149,7 +149,7 @@ class TestRemoteSpans:
                 if e["name"].startswith("remote_store->g")
             ]
             assert len(rstores) == len(drains)
-            # The engine span opens when the store issues, one L1 latency
+            # The engine span opens when the warp sends the store, one L1 latency
             # before the drain leaves the SM, and both close together.
             for span, drain in zip(
                 sorted(rstores, key=lambda e: e["ts"] + e["dur"]),
