@@ -13,13 +13,13 @@ def _settings(tmp_path, **kwargs) -> SweepSettings:
 class TestInGridDedupe:
     def test_duplicate_pairs_simulate_once(self, tmp_path, monkeypatch):
         calls = []
-        real = runner_module._timed_run_pair
+        real = runner_module._timed_runs
 
-        def counting(args):
-            calls.append(args)
-            return real(args)
+        def counting(spec, configs):
+            calls.extend((spec, config) for config in configs)
+            return real(spec, configs)
 
-        monkeypatch.setattr(runner_module, "_timed_run_pair", counting)
+        monkeypatch.setattr(runner_module, "_timed_runs", counting)
         spec = shrunken_spec("Stream", total_ctas=8)
         config = table_iii_config(1)
         runner = SweepRunner(_settings(tmp_path))
