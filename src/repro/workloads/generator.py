@@ -120,6 +120,10 @@ class WarpProgramBuilder:
         self._warp_ids = np.arange(
             spec.warps_per_cta, dtype=np.uint64
         ).reshape(1, spec.warps_per_cta, 1)
+        # mix_key(seed, kernel, cta, warp) folds left to right, so the
+        # (seed, kernel) prefix is folded once and the CTA and warp parts
+        # are folded per chunk with the same wrapping uint64 SplitMix64.
+        self._kernel_key = np.uint64(mix_key(spec.seed, kernel_index))
         # Validate the compute mix once (Segment rejects non-compute opcodes
         # and negative counts); every segment then reuses the aggregate costs
         # through Segment.prebuilt.
@@ -139,17 +143,10 @@ class WarpProgramBuilder:
         """
         spec = self.spec
         num = cta_hi - cta_lo
-        warps = spec.warps_per_cta
-        seed = spec.seed
-        kernel = self.kernel_index
-        keys = np.array(
-            [
-                mix_key(seed, kernel, cta_id, warp_id)
-                for cta_id in range(cta_lo, cta_hi)
-                for warp_id in range(warps)
-            ],
-            dtype=np.uint64,
-        ).reshape(num, warps, 1)
+        ctas_u64 = np.arange(cta_lo, cta_hi, dtype=np.uint64).reshape(num, 1, 1)
+        keys = splitmix64_array(
+            splitmix64_array(self._kernel_key ^ ctas_u64) ^ self._warp_ids
+        )
         lane = splitmix64_array(keys ^ self._lane_mix)
         pick = splitmix64_array(lane)
         store_key = splitmix64_array(lane ^ np.uint64(0x5A5A5A5A5A5A5A5A))
@@ -157,7 +154,6 @@ class WarpProgramBuilder:
 
         region = spec.cta_region_bytes
         region_lines = max(1, region // _LINE)
-        ctas_u64 = np.arange(cta_lo, cta_hi, dtype=np.uint64).reshape(num, 1, 1)
         ctas_i64 = np.arange(cta_lo, cta_hi, dtype=np.int64).reshape(num, 1, 1)
         bases = ctas_u64 * np.uint64(region)
 
@@ -208,9 +204,14 @@ class WarpProgramBuilder:
 
     def _build_chunk(self, start: int) -> list[list[WarpProgram]]:
         """Materialize programs for CTAs ``[start, start + CHUNK_CTAS)``."""
+        end = min(start + self.CHUNK_CTAS, self.spec.total_ctas)
+        return self._programs(*self._synthesize(start, end))
+
+    def _programs(
+        self, addresses: np.ndarray, is_store: np.ndarray, is_lds: np.ndarray
+    ) -> list[list[WarpProgram]]:
+        """Warp programs, per CTA, from a run of :meth:`_synthesize` rows."""
         spec = self.spec
-        end = min(start + self.CHUNK_CTAS, spec.total_ctas)
-        addresses, is_store, is_lds = self._synthesize(start, end)
         addr_list = addresses.tolist()
         store_list = is_store.tolist()
         lds_list = is_lds.tolist()
@@ -223,7 +224,7 @@ class WarpProgramBuilder:
         prebuilt = Segment.prebuilt
         shared = MemSpace.SHARED
         chunk: list[list[WarpProgram]] = []
-        for cta_offset in range(end - start):
+        for cta_offset in range(len(addr_list)):
             cta_addr = addr_list[cta_offset]
             cta_store = store_list[cta_offset]
             cta_lds = lds_list[cta_offset]
@@ -277,17 +278,22 @@ class WarpProgramBuilder:
         Kernels whose chunk count fits :attr:`MAX_CHUNKS` would end up fully
         resident anyway; synthesizing them eagerly moves the chunk builds out
         of the simulation loop (where they are pure overhead in throughput
-        accounting) into workload construction.  Larger grids keep the lazy
-        bounded-cache behaviour — never the full trace in memory.
+        accounting) into workload construction.  The whole grid is
+        synthesized in one numpy pass and sliced into the same chunks the
+        lazy path would build.  Larger grids keep the lazy bounded-cache
+        behaviour — never the full trace in memory.
         """
         if self._empty_program is not None:
             return
-        total_chunks = -(-self.spec.total_ctas // self.CHUNK_CTAS)
-        if total_chunks > self.MAX_CHUNKS:
+        total = self.spec.total_ctas
+        if -(-total // self.CHUNK_CTAS) > self.MAX_CHUNKS:
             return
-        for start in range(0, self.spec.total_ctas, self.CHUNK_CTAS):
-            if start not in self._chunks:
-                self._chunks[start] = self._build_chunk(start)
+        addresses, is_store, is_lds = self._synthesize(0, total)
+        for start in range(0, total, self.CHUNK_CTAS):
+            end = start + self.CHUNK_CTAS
+            self._chunks[start] = self._programs(
+                addresses[start:end], is_store[start:end], is_lds[start:end]
+            )
 
     def build_cta(self, cta_id: int) -> list[WarpProgram]:
         """All warp programs of one CTA, in warp order.
