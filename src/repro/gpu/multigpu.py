@@ -383,7 +383,15 @@ class MultiGpu:
         """Execute ``workload`` to completion and return the filled counters."""
         self.placement.set_interleaved_from(workload.interleaved_base)
         driver = self.engine.process(self._workload_body(workload), name="driver")
-        self.engine.run(max_events=max_events)
+        try:
+            self.engine.run(max_events=max_events)
+        finally:
+            # Every GPM memory lists every peer, itself included: a cycle
+            # through all caches that only a full GC would free.  Unwiring
+            # the peers once the run ends frees a finished GPU by
+            # reference counting.
+            for gpm in self.gpms:
+                gpm.memory.connect(self.topology, [])
         if not driver.done.triggered:
             raise ConfigError(
                 f"workload {workload.name!r} deadlocked: driver never finished"
