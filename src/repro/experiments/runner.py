@@ -301,7 +301,7 @@ class SweepRunner:
             print(
                 f"[sweep] {len(pairs)} pairs: {self.cache_hits} cached,"
                 f" {total} to simulate"
-                f" (processes={min(self.settings.processes, max(total, 1))})",
+                f" (processes={self._worker_count(total)})",
                 file=sys.stderr,
                 flush=True,
             )

@@ -317,3 +317,17 @@ class TestWorkerCount:
         monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: None)
         runner = self._runner(tmp_path, processes=8)
         assert runner._worker_count(100) == 1
+
+    def test_progress_line_reports_the_pool_that_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.experiments.runner as runner_mod
+
+        # processes=8 on one core runs serially; the line must say so.
+        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 1)
+        runner = SweepRunner(
+            SweepSettings(cache_dir=tmp_path, processes=8, progress=True)
+        )
+        runner.run([(tiny_spec(), table_iii_config(n)) for n in (1, 2, 4)])
+        err = capsys.readouterr().err
+        assert "3 to simulate (processes=1)" in err
