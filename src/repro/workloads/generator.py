@@ -135,6 +135,14 @@ class WarpProgramBuilder:
         )
         self._chunks: dict[int, list[list[WarpProgram]]] = {}
 
+    def _warp_keys(self, cta_lo: int, cta_hi: int) -> np.ndarray:
+        """``mix_key(seed, kernel, cta, warp)`` for a run of CTAs, shaped
+        ``(cta_hi - cta_lo, warps_per_cta, 1)``."""
+        ctas = np.arange(cta_lo, cta_hi, dtype=np.uint64).reshape(-1, 1, 1)
+        return splitmix64_array(
+            splitmix64_array(self._kernel_key ^ ctas) ^ self._warp_ids
+        )
+
     def _synthesize(self, cta_lo: int, cta_hi: int):
         """Vectorized address/flag synthesis for a run of consecutive CTAs.
 
@@ -143,17 +151,14 @@ class WarpProgramBuilder:
         """
         spec = self.spec
         num = cta_hi - cta_lo
-        ctas_u64 = np.arange(cta_lo, cta_hi, dtype=np.uint64).reshape(num, 1, 1)
-        keys = splitmix64_array(
-            splitmix64_array(self._kernel_key ^ ctas_u64) ^ self._warp_ids
-        )
-        lane = splitmix64_array(keys ^ self._lane_mix)
+        lane = splitmix64_array(self._warp_keys(cta_lo, cta_hi) ^ self._lane_mix)
         pick = splitmix64_array(lane)
         store_key = splitmix64_array(lane ^ np.uint64(0x5A5A5A5A5A5A5A5A))
         lds_key = splitmix64_array(lane ^ np.uint64(0xA5A5A5A5A5A5A5A5))
 
         region = spec.cta_region_bytes
         region_lines = max(1, region // _LINE)
+        ctas_u64 = np.arange(cta_lo, cta_hi, dtype=np.uint64).reshape(num, 1, 1)
         ctas_i64 = np.arange(cta_lo, cta_hi, dtype=np.int64).reshape(num, 1, 1)
         bases = ctas_u64 * np.uint64(region)
 

@@ -1,5 +1,7 @@
 """Property-based tests for trace-generation primitives and the generator."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -104,3 +106,35 @@ class TestGeneratorProperties:
             for segment in builder(cta, 0):
                 for access in segment.accesses:
                     assert cta * region <= access.address < (cta + 1) * region
+
+
+class TestKeyFold:
+    """The builder folds (seed, kernel) once and (CTA, warp) as arrays."""
+
+    seeds = st.one_of(
+        st.integers(min_value=-(1 << 63), max_value=-1),
+        st.integers(min_value=1 << 63, max_value=(1 << 64) - 1),
+        st.integers(min_value=0, max_value=(1 << 63) - 1),
+    )
+
+    @given(
+        seeds,
+        st.integers(min_value=0, max_value=1 << 20),
+        st.integers(min_value=0, max_value=(1 << 32) - 2),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_vectorized_fold_matches_scalar_mix_key(
+        self, seed, kernel, cta, warps
+    ):
+        spec = make_spec(1.0, 0.0, 0.0, 0)
+        builder = WarpProgramBuilder(
+            replace(spec, seed=seed, warps_per_cta=warps), kernel
+        )
+        keys = builder._warp_keys(cta, cta + 2)
+        assert keys.shape == (2, warps, 1)
+        for offset in range(2):
+            for warp in range(warps):
+                assert int(keys[offset, warp, 0]) == patterns.mix_key(
+                    seed, kernel, cta + offset, warp
+                )

@@ -157,3 +157,50 @@ class TestBuildWorkload:
         assert "short-kernels" in tagged.tags
         untagged = build_workload(small_spec())
         assert untagged.tags == ()
+
+
+def _program_fields(chunk):
+    return [
+        [
+            [
+                (
+                    sorted((op.value, n) for op, n in segment.compute.items()),
+                    [
+                        (a.address, a.size, a.is_store, a.space)
+                        for a in segment.accesses
+                    ],
+                )
+                for segment in program.segments
+            ]
+            for program in cta
+        ]
+        for cta in chunk
+    ]
+
+
+class TestOnePassPrewarm:
+    """Prewarm synthesizes the grid once; the lazy path does it per chunk."""
+
+    @pytest.mark.parametrize("grid", ["decode", "tenant-mix"])
+    def test_prewarm_equals_per_chunk_builds(self, grid):
+        from repro.experiments.figllm_study import grid_spec
+
+        spec = grid_spec(grid)
+        kernel_specs = spec.kernel_specs()
+        if grid == "decode":
+            # The last chunk of a 33-CTA grid holds one CTA.
+            assert spec.total_ctas % WarpProgramBuilder.CHUNK_CTAS != 0
+        else:
+            assert len({k.total_ctas for k in kernel_specs}) > 1
+        for index, kernel_spec in enumerate(kernel_specs):
+            warmed = WarpProgramBuilder(kernel_spec, index)
+            warmed.prewarm()
+            lazy = WarpProgramBuilder(kernel_spec, index)
+            starts = list(
+                range(0, kernel_spec.total_ctas, WarpProgramBuilder.CHUNK_CTAS)
+            )
+            assert list(warmed._chunks) == starts
+            for start in starts:
+                assert _program_fields(warmed._chunks[start]) == (
+                    _program_fields(lazy._build_chunk(start))
+                )
