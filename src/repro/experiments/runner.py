@@ -7,6 +7,12 @@ configuration, and a results-format version.  Benches therefore pay the
 simulation cost once; re-pricing studies (link energy, amortization) never
 re-simulate at all.
 
+Like the paper's trace-driven simulator, which captures each application's
+trace once and replays it on every configuration, a serial sweep request
+builds each distinct spec's workload once and simulates its configurations
+back to back.  The process pool keeps one task per pair, so a one-spec grid
+(a sweet-spot search) still spreads across workers.
+
 Set ``REPRO_SWEEP_PROCESSES`` to control parallelism (default: half the
 cores, capped at 12); ``REPRO_CACHE_DIR`` to relocate the cache.
 """
@@ -166,6 +172,9 @@ def expand_operating_points(
 
 class SweepRunner:
     """Executes (workload, configuration) grids with caching.
+
+    A serial :meth:`run` groups the pairs it must simulate by spec hash and
+    replays one trace per group; records still land at their input index.
 
     Besides the records themselves, the runner aggregates every record's
     component metrics into :attr:`metrics` (merging per-worker registries via

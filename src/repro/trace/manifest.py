@@ -46,6 +46,9 @@ class RunManifest:
     results_version: int
     spec_hash: str
     config_fingerprint: dict
+    #: Host seconds this pair cost: its simulation, plus the trace build
+    #: when this pair built the trace its sweep request shares (the first
+    #: pair of its spec to simulate; every pair of a process-pool sweep).
     wall_time_s: float
     #: Engine callbacks dispatched by the producing simulation (0 when the
     #: manifest predates throughput accounting).

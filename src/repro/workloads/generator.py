@@ -15,10 +15,15 @@ stripe shared allocations across memories so no single module hotspots, and
 under striping ~(N-1)/N of shared-region traffic is remote — the gather/graph
 traffic class of the NUMA-GPU papers.
 
-Address streams are generated **vectorized per CTA chunk** with SplitMix64
-over structured keys: a warp's program is a pure function of (workload seed,
+Address streams are generated **vectorized** with SplitMix64 over
+structured keys: a warp's program is a pure function of (workload seed,
 kernel, CTA, warp), identical across runs and GPM counts — strong scaling
-must present the same memory behaviour to every configuration.
+must present the same memory behaviour to every configuration.  A grid that
+fits the chunk cache is synthesized in one numpy pass at build time; larger
+grids are synthesized per CTA chunk as the simulation reaches them.  Because
+a workload is configuration-independent, the sweep runner builds it once
+per request and replays it on every configuration, as a trace-driven
+simulator replays one captured trace.
 """
 
 from __future__ import annotations
@@ -151,7 +156,8 @@ class WarpProgramBuilder:
         """
         spec = self.spec
         num = cta_hi - cta_lo
-        lane = splitmix64_array(self._warp_keys(cta_lo, cta_hi) ^ self._lane_mix)
+        keys = self._warp_keys(cta_lo, cta_hi)
+        lane = splitmix64_array(keys ^ self._lane_mix)
         pick = splitmix64_array(lane)
         store_key = splitmix64_array(lane ^ np.uint64(0x5A5A5A5A5A5A5A5A))
         lds_key = splitmix64_array(lane ^ np.uint64(0xA5A5A5A5A5A5A5A5))
