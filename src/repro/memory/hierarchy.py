@@ -48,10 +48,6 @@ from repro.units import CACHE_LINE_BYTES, SECTORS_PER_LINE
 #: Size of a request header message on the inter-GPM network (bytes).
 REQUEST_HEADER_BYTES: int = 32
 
-#: Shared empty pending-event container for accesses with no remote legs —
-#: the overwhelmingly common case, not worth a fresh list per access.
-_NO_EVENTS: tuple = ()
-
 
 @dataclass(frozen=True)
 class HierarchyLatencies:
@@ -128,122 +124,133 @@ class GpmMemory:
         self.topology: Topology | None = None
         self.peers: list["GpmMemory"] = []
 
-    # ------------------------------------------------------------------ helpers
-
-    def _lines_touched(self, access: MemAccess) -> range:
-        first = access.address // CACHE_LINE_BYTES
-        last = (access.address + access.size - 1) // CACHE_LINE_BYTES
-        return range(first, last + 1)
-
     # ------------------------------------------------------------------ access
 
     def access(
         self, sm_index: int, access: MemAccess, earliest: float
-    ) -> "tuple[float, tuple[Event, ...] | list[Event]]":
-        """Perform one warp-level access.
+    ) -> "tuple[float, list[Event]]":
+        """Perform one warp-level access: a one-access :meth:`access_segment`.
 
         Returns ``(completion_time, pending_events)``: the analytic completion
-        bound for local stages plus done-events of any remote loads the access
-        started (an immutable, possibly shared, empty container
-        when there are none — callers must not mutate it).  Stores complete
-        when their data leaves the SM (the warp does not wait for downstream
-        drain); loads complete on data arrival.
+        bound for local stages (never before ``earliest``) plus the remote
+        loads the access started, each an event that succeeds on data
+        arrival.
         """
-        if access.space is MemSpace.SHARED:
-            self.counters.shared_rf_txns += 1
-            return earliest + self.latencies.shared, _NO_EVENTS
+        pending: list[Event] = []
+        return self.access_segment(sm_index, (access,), earliest, pending), pending
 
-        if access.size <= CACHE_LINE_BYTES and access.address % CACHE_LINE_BYTES == 0:
-            # Fast path: one aligned line (how the generators emit accesses).
-            done = self._access_line(
-                sm_index, access.address, access.is_store, earliest
-            )
-            if done.__class__ is Event:
-                return earliest, (done,)
-            return done, _NO_EVENTS
+    def access_segment(
+        self,
+        sm_index: int,
+        accesses: "tuple[MemAccess, ...]",
+        earliest: float,
+        pending: list,
+    ) -> float:
+        """Price every access of one warp segment issued at ``earliest``.
 
-        completion = earliest
-        events: list[Event] = []
-        for line_index in self._lines_touched(access):
-            line_address = line_index * CACHE_LINE_BYTES
-            done = self._access_line(
-                sm_index, line_address, access.is_store, earliest
-            )
-            if isinstance(done, Event):
-                events.append(done)
-            elif done > completion:
-                completion = done
-        return completion, events
+        Returns the latest analytic completion time of the segment's local
+        stages (``earliest`` if none is later) and appends each remote load
+        it starts to ``pending``, in access and line order; the warp waits on
+        those events too.  Stores complete when their data leaves the SM (the
+        warp does not wait for downstream drain); loads complete on data
+        arrival.
 
-    def _access_line(
-        self, sm_index: int, line_address: int, is_store: bool, earliest: float
-    ) -> "float | Event":
+        The whole L1 -> L2 -> DRAM/remote path of every line runs inline in
+        this one loop: at several accesses per segment, one call per stage
+        per line was the bulk of the memory layer's interpreter cost.
+        """
         counters = self.counters
-        counters.l1_rf_txns += 1
+        latencies = self.latencies
+        l1_latency = latencies.l1
         gpm_id = self.gpm_id
-        home = self.placement.home(line_address, gpm_id)
-        if home == gpm_id:
-            counters.local_accesses += 1
-        else:
-            counters.remote_accesses += 1
+        placement = self.placement
+        page_homes = placement._homes
+        page_shift = placement._page_shift
+        l1 = self.l1s[sm_index]
+        l2 = self.l2
+        trace = self._trace
+        # Enum member lookups go through a descriptor: resolve once per call.
+        shared = MemSpace.SHARED
+        completion = earliest
+        for access in accesses:
+            if access.space is shared:
+                counters.shared_rf_txns += 1
+                done = earliest + latencies.shared
+                if done > completion:
+                    completion = done
+                continue
+            address = access.address
+            size = access.size
+            is_store = access.is_store
+            # Every line the access touches, in address order; the aligned
+            # one-line accesses the generators emit skip building a range.
+            if size <= CACHE_LINE_BYTES and not address % CACHE_LINE_BYTES:
+                lines = (address,)
+            else:
+                lines = range(
+                    address - address % CACHE_LINE_BYTES,
+                    address + size,
+                    CACHE_LINE_BYTES,
+                )
+            for line_address in lines:
+                counters.l1_rf_txns += 1
+                home = page_homes.get(line_address >> page_shift)
+                if home is None:
+                    home = placement.home(line_address, gpm_id)
+                if home == gpm_id:
+                    counters.local_accesses += 1
+                else:
+                    counters.remote_accesses += 1
 
-        if is_store:
-            # Write-through, no-write-allocate at L1: stores bypass the L1
-            # tag store entirely and head downstream.
-            return self._store_line(line_address, home, earliest)
-        hit, _ = self.l1s[sm_index].access(line_address, False, home)
-        if hit:
-            counters.l1_hits += 1
-            return earliest + self.latencies.l1
-        counters.l1_misses += 1
-        if self._trace:
-            self._tracer.instant(self._track, "l1.miss", earliest)
-        return self._load_miss(line_address, home, earliest)
-
-    # ------------------------------------------------------------------ loads
-
-    def _load_miss(
-        self, line_address: int, home: int, earliest: float
-    ) -> "float | Event":
-        counters = self.counters
-        at_l2 = earliest + self.latencies.l1
-        counters.l2_l1_txns += SECTORS_PER_LINE
-        hit, dirty_evicted = self.l2.access(line_address, False, home)
-        if dirty_evicted:
-            self._writeback_local(at_l2)
-        if hit:
-            counters.l2_hits += 1
-            return at_l2 + self.latencies.l2
-        counters.l2_misses += 1
-        if self._trace:
-            self._tracer.instant(
-                self._track, "l2.miss", at_l2, args={"home": home}
-            )
-        after_l2 = at_l2 + self.latencies.l2
-
-        if home == self.gpm_id:
-            counters.dram_l2_txns += SECTORS_PER_LINE
-            return self.dram.read(CACHE_LINE_BYTES, after_l2)
-
-        return RemoteLoad(self, line_address, home, after_l2).done
+                if is_store:
+                    # Write-through, no-write-allocate at L1: stores bypass
+                    # the L1 tag store entirely and head downstream.
+                    done = earliest + l1_latency
+                    if home == gpm_id:
+                        counters.l2_l1_txns += SECTORS_PER_LINE
+                        if l2.access(line_address, True, home)[1]:
+                            self._writeback_local(done)
+                    else:
+                        # Remote store: bypass the local L2 and stream the
+                        # payload to the home DRAM, so remote-homed lines
+                        # are never dirty in any module L2.  Fire-and-forget:
+                        # the warp does not wait, but the drain reserves
+                        # each resource at actual arrival time.
+                        RemoteStore(self, home, done)
+                elif l1.access(line_address, False, home)[0]:
+                    counters.l1_hits += 1
+                    done = earliest + l1_latency
+                else:
+                    counters.l1_misses += 1
+                    if trace:
+                        self._tracer.instant(self._track, "l1.miss", earliest)
+                    at_l2 = earliest + l1_latency
+                    counters.l2_l1_txns += SECTORS_PER_LINE
+                    hit, dirty_evicted = l2.access(line_address, False, home)
+                    if dirty_evicted:
+                        self._writeback_local(at_l2)
+                    if hit:
+                        counters.l2_hits += 1
+                        done = at_l2 + latencies.l2
+                    else:
+                        counters.l2_misses += 1
+                        if trace:
+                            self._tracer.instant(
+                                self._track, "l2.miss", at_l2, args={"home": home}
+                            )
+                        after_l2 = at_l2 + latencies.l2
+                        if home != gpm_id:
+                            pending.append(
+                                RemoteLoad(self, line_address, home, after_l2).done
+                            )
+                            continue
+                        counters.dram_l2_txns += SECTORS_PER_LINE
+                        done = self.dram.read(CACHE_LINE_BYTES, after_l2)
+                if done > completion:
+                    completion = done
+        return completion
 
     # ------------------------------------------------------------------ stores
-
-    def _store_line(self, line_address: int, home: int, earliest: float) -> float:
-        counters = self.counters
-        left_sm = earliest + self.latencies.l1
-        if home == self.gpm_id:
-            counters.l2_l1_txns += SECTORS_PER_LINE
-            _, dirty_evicted = self.l2.access(line_address, True, home)
-            if dirty_evicted:
-                self._writeback_local(left_sm)
-            return left_sm
-        # Remote store: bypass local L2, stream payload to the home DRAM.
-        # (Guarantees remote-homed lines are never dirty in any module L2.)
-        # Fire-and-forget: the warp does not wait, but the drain reserves
-        # each resource at actual arrival time.
-        RemoteStore(self, home, left_sm)
-        return left_sm
 
     def _writeback_local(self, earliest: float) -> None:
         """Drain one dirty local line to local DRAM (fire-and-forget)."""

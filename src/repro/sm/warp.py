@@ -86,10 +86,9 @@ class WarpContext:
         """
         engine = sm.engine
         reserve = sm.issue.reserve
-        # Call straight into the GPM memory path: SmCore.memory_access is a
-        # one-line forwarding wrapper, and at one call per access the extra
-        # frame is measurable on the hot path.
-        memory_access = sm.memory.access
+        # One call per segment straight into the GPM memory path, which
+        # prices every access and appends remote loads to ``pending``.
+        access_segment = sm.memory.access_segment
         local_index = sm.local_index
         count_compute = sm.counters.count_compute_map
         # Pooled scratch (see __init__): cleared here because a recycled
@@ -105,14 +104,10 @@ class WarpContext:
         for segment in self.program:
             issue_done = reserve(segment.issue_slots)
             count_compute(segment.compute)
-            completion = issue_done
             pending.clear()
-            for access in segment.accesses:
-                done, events = memory_access(local_index, access, issue_done)
-                if done > completion:
-                    completion = done
-                if events:
-                    pending.extend(events)
+            completion = access_segment(
+                local_index, segment.accesses, issue_done, pending
+            )
             self.instructions_executed += segment.total_instructions
             self.segments_executed += 1
             # Drain the PREVIOUS segment before moving past this one.
