@@ -22,7 +22,7 @@ import abc
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.interconnect.link import Link
 from repro.interconnect.traffic import TrafficCounters
 
@@ -121,19 +121,39 @@ class Topology(abc.ABC):
 
         ``earliest`` bounds when injection may begin (payload availability).
         Returns the completion time; the caller sleeps until then.
+
+        Each hop's FCFS reservation is :meth:`BandwidthServer.reserve
+        <repro.sim.resources.BandwidthServer.reserve>`'s arithmetic done in
+        place on the link's server, and the transfer is folded into
+        :attr:`traffic` as :meth:`TrafficCounters.record` would.
         """
+        servers = route.servers
+        if nbytes < 0:
+            raise SimulationError(
+                f"negative reservation on {servers[0].name!r}: {nbytes!r}"
+            )
+        engine = self._engine
+        injected = engine.now if earliest is None else earliest
         finish = 0.0
-        for server in route.servers:
-            done = server.reserve(nbytes, earliest)
+        for server in servers:
+            free_at = server.free_at
+            service = nbytes / server.rate
+            done = (free_at if free_at > injected else injected) + service
+            server.free_at = done
+            server.busy_time += service
+            server.units_served += nbytes
+            server.requests += 1
             if done > finish:
                 finish = done
         hops = route.hops
         switch_traversals = route.switch_traversals
-        self.traffic.record(nbytes, hops, switch_traversals)
+        traffic = self.traffic
+        traffic.messages += 1
+        traffic.bytes_injected += nbytes
+        traffic.byte_hops += nbytes * hops
+        traffic.switch_byte_traversals += nbytes * switch_traversals
         completion = finish + route.latency
 
-        engine = self._engine
-        injected = engine.now if earliest is None else earliest
         cycles = completion - injected
         if not cycles > 0.0:
             cycles = 0.0

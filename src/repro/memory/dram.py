@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.sim.engine import Engine
 from repro.sim.resources import BandwidthServer
 from repro.units import DEFAULT_CLOCK_HZ, gbps_to_bytes_per_cycle
@@ -86,11 +86,28 @@ class DramChannel:
     def _service(
         self, kind: str, nbytes: int, earliest: float | None
     ) -> float:
-        """Reserve channel service, recording queueing and the trace span."""
+        """Reserve channel service, recording queueing and the trace span.
+
+        The FCFS reservation is :meth:`BandwidthServer.reserve
+        <repro.sim.resources.BandwidthServer.reserve>`'s arithmetic done in
+        place on the channel's server, so the service time is divided out
+        once and shared with the queueing metric.
+        """
+        server = self.server
+        if nbytes < 0:
+            raise SimulationError(
+                f"negative reservation on {server.name!r}: {nbytes!r}"
+            )
         arrival = self.engine.now if earliest is None else earliest
-        finish = self.server.reserve(nbytes, earliest=earliest)
-        service = nbytes / self.server.rate
-        self._queue_cycles.add(max(0.0, finish - service - arrival))
+        free_at = server.free_at
+        service = nbytes / server.rate
+        finish = (free_at if free_at > arrival else arrival) + service
+        server.free_at = finish
+        server.busy_time += service
+        server.units_served += nbytes
+        server.requests += 1
+        queued = finish - service - arrival
+        self._queue_cycles.add(queued if queued > 0.0 else 0.0)
         if self._trace:
             self._tracer.complete(
                 self.name, kind, finish - service, service,

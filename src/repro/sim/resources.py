@@ -50,6 +50,11 @@ class BandwidthServer:
 
         Returns the absolute completion time.  The caller is responsible for
         sleeping until that time (``yield engine.wait_until(t)``).
+
+        This is the one definition of the FCFS reservation.  Two hot paths
+        repeat its arithmetic in place on their servers:
+        ``DramChannel._service`` and ``Topology.transfer_time``;
+        ``tests/property/test_reservation_props.py`` holds them to it.
         """
         if size < 0:
             raise SimulationError(f"negative reservation on {self.name!r}: {size!r}")
