@@ -86,6 +86,12 @@ class Opcode(enum.Enum):
     # Control
     BRA = "bra"
 
+    # Members are singletons and Enum equality is identity, so the C-level
+    # identity hash is consistent with it.  Enum's own __hash__ hashes the
+    # member name in Python code, once per instruction-count dict update on
+    # the simulator's per-segment path.
+    __hash__ = object.__hash__
+
     @property
     def info(self) -> OpInfo:
         return _OP_INFO[self]

@@ -128,7 +128,7 @@ class GpmMemory:
 
     def access(
         self, sm_index: int, access: MemAccess, earliest: float
-    ) -> "tuple[float, list[Event]]":
+    ) -> "tuple[float, list[RemoteLoad]]":
         """Perform one warp-level access: a one-access :meth:`access_segment`.
 
         Returns ``(completion_time, pending_events)``: the analytic completion
@@ -136,7 +136,7 @@ class GpmMemory:
         loads the access started, each an event that succeeds on data
         arrival.
         """
-        pending: list[Event] = []
+        pending: list[RemoteLoad] = []
         return self.access_segment(sm_index, (access,), earliest, pending), pending
 
     def access_segment(
@@ -161,7 +161,12 @@ class GpmMemory:
         """
         counters = self.counters
         latencies = self.latencies
-        l1_latency = latencies.l1
+        # Every stage's time is a fixed offset from the issue time: the L1
+        # stage's exit is when a store leaves the SM, an L1 hit returns and
+        # a miss reaches the L2; the L2 stage's exit is an L2 hit's return.
+        shared_done = earliest + latencies.shared
+        at_l2 = earliest + latencies.l1
+        after_l2 = at_l2 + latencies.l2
         gpm_id = self.gpm_id
         placement = self.placement
         page_homes = placement._homes
@@ -175,9 +180,8 @@ class GpmMemory:
         for access in accesses:
             if access.space is shared:
                 counters.shared_rf_txns += 1
-                done = earliest + latencies.shared
-                if done > completion:
-                    completion = done
+                if shared_done > completion:
+                    completion = shared_done
                 continue
             address = access.address
             size = access.size
@@ -205,43 +209,41 @@ class GpmMemory:
                 if is_store:
                     # Write-through, no-write-allocate at L1: stores bypass
                     # the L1 tag store entirely and head downstream.
-                    done = earliest + l1_latency
+                    done = at_l2
                     if home == gpm_id:
                         counters.l2_l1_txns += SECTORS_PER_LINE
                         if l2.access(line_address, True, home)[1]:
-                            self._writeback_local(done)
+                            self._writeback_local(at_l2)
                     else:
                         # Remote store: bypass the local L2 and stream the
                         # payload to the home DRAM, so remote-homed lines
                         # are never dirty in any module L2.  Fire-and-forget:
                         # the warp does not wait, but the drain reserves
                         # each resource at actual arrival time.
-                        RemoteStore(self, home, done)
+                        RemoteStore(self, home, at_l2)
                 elif l1.access(line_address, False, home)[0]:
                     counters.l1_hits += 1
-                    done = earliest + l1_latency
+                    done = at_l2
                 else:
                     counters.l1_misses += 1
                     if trace:
                         self._tracer.instant(self._track, "l1.miss", earliest)
-                    at_l2 = earliest + l1_latency
                     counters.l2_l1_txns += SECTORS_PER_LINE
                     hit, dirty_evicted = l2.access(line_address, False, home)
                     if dirty_evicted:
                         self._writeback_local(at_l2)
                     if hit:
                         counters.l2_hits += 1
-                        done = at_l2 + latencies.l2
+                        done = after_l2
                     else:
                         counters.l2_misses += 1
                         if trace:
                             self._tracer.instant(
                                 self._track, "l2.miss", at_l2, args={"home": home}
                             )
-                        after_l2 = at_l2 + latencies.l2
                         if home != gpm_id:
                             pending.append(
-                                RemoteLoad(self, line_address, home, after_l2).done
+                                RemoteLoad(self, line_address, home, after_l2)
                             )
                             continue
                         counters.dram_l2_txns += SECTORS_PER_LINE
@@ -250,7 +252,7 @@ class GpmMemory:
                     completion = done
         return completion
 
-    # ------------------------------------------------------------------ stores
+    # ------------------------------------------------------------------ writebacks
 
     def _writeback_local(self, earliest: float) -> None:
         """Drain one dirty local line to local DRAM (fire-and-forget)."""
@@ -274,27 +276,30 @@ class GpmMemory:
         self.peers = peers
 
 
-class RemoteLoad:
+class RemoteLoad(Event):
     """Multi-stage remote load: request out, home access, data back.
 
     Each resource is reserved when the message actually reaches it, so links
-    and the home DRAM stay work-conserving under NUMA load.  :attr:`done`
-    succeeds after the data arrives.
+    and the home DRAM stay work-conserving under NUMA load.  The load is
+    itself the event the warp waits on: it succeeds after the data arrives.
     """
 
-    __slots__ = ("memory", "line_address", "home", "start", "spawned_at", "done")
+    __slots__ = ("memory", "line_address", "home", "start", "spawned_at")
 
     def __init__(
         self, memory: GpmMemory, line_address: int, home: int, start: float
     ):
         engine = memory.engine
+        self.engine = engine
+        self._callbacks = []
+        self.triggered = False
+        self.value = None
         self.memory = memory
         self.line_address = line_address
         self.home = home
         self.start = start
         self.spawned_at = engine.now
-        self.done = Event(engine)
-        engine.schedule(0.0, self._begin)
+        engine._nowq.append((self._begin, None))
 
     def _begin(self, _value: None) -> None:
         memory = self.memory
@@ -360,7 +365,7 @@ class RemoteLoad:
                 self.spawned_at,
                 now - self.spawned_at,
             )
-        self.done.succeed()
+        self.succeed()
 
 
 class RemoteStore:

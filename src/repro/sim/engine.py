@@ -68,6 +68,9 @@ class Event:
     to every waiter.  Waiting on an already-succeeded event resumes the waiter
     immediately (on the next engine step, through the now queue — never via a
     zero-delay heap entry), which makes completion races benign.
+
+    A subclass may add state but must not change this protocol: processes
+    wait on a direct subclass through the same fast path as on an Event.
     """
 
     __slots__ = ("engine", "_callbacks", "triggered", "value")
@@ -151,9 +154,10 @@ class Process:
             return
         # Inline dispatch of the common commands; `_dispatch` only exists as
         # a seam for the error path and the rare AllOf case.  Exact class
-        # checks instead of isinstance: the command protocol has no
-        # subclasses, and the identity test is the cheapest branch CPython
-        # offers on this per-event path.
+        # checks instead of isinstance: the identity test is the cheapest
+        # branch CPython offers on this per-event path.  Event subclasses
+        # (the remote memory path's loads) only add state, never behaviour,
+        # so a direct subclass takes the Event branch too.
         cls = command.__class__
         if cls is Timeout:
             engine = self.engine
@@ -166,7 +170,7 @@ class Process:
                     (engine.now + delay, engine._seq, self._step, None),
                 )
                 engine._seq += 1
-        elif cls is Event:
+        elif cls is Event or cls.__base__ is Event:
             if command.triggered:
                 self.engine._nowq.append((self._step, command.value))
             else:

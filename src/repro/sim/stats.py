@@ -20,10 +20,13 @@ class Accumulator:
 
     def add(self, value: float) -> None:
         """Fold one observation into the running statistics."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
+        count = self.count + 1
+        self.count = count
+        mean = self._mean
+        delta = value - mean
+        mean += delta / count
+        self._mean = mean
+        self._m2 += delta * (value - mean)
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:

@@ -1,12 +1,12 @@
 """Warp execution contexts.
 
 A warp advances segment by segment (see :mod:`repro.isa.program`): it reserves
-issue slots on its SM, prices each of the segment's memory accesses through
-the GPM memory path, then sleeps until the slowest dependency resolves.  Each
-segment costs exactly one simulation event.
+issue slots on its SM, prices all of the segment's memory accesses in one call
+down the GPM memory path, then sleeps until the slowest dependency resolves.
+Each segment costs exactly one simulation event.
 
-The warp records its own issue/stall split for diagnostics; the authoritative
-idle accounting that feeds the EPStall energy term is done at the SM level
+The warp keeps only progress counts (instructions and segments executed).
+Idle accounting, which feeds the EPStall energy term, is done at the SM level
 (issue-server busy time vs. elapsed time), because warp-private wait time
 overlaps across warps and must not be double counted.
 """
@@ -48,7 +48,6 @@ class WarpContext:
         "state",
         "instructions_executed",
         "segments_executed",
-        "wait_cycles",
         "_timeout",
         "_pending",
         "_prev_events",
@@ -73,7 +72,6 @@ class WarpContext:
         self.state = WarpState.READY
         self.instructions_executed = 0
         self.segments_executed = 0
-        self.wait_cycles = 0.0
 
     def body(self, sm: "SmCore") -> Generator:
         """Process generator executing this warp on ``sm``.
@@ -119,7 +117,6 @@ class WarpContext:
                     yield prev_events[0]
                 else:
                     yield AllOf(prev_events)
-            self.wait_cycles += max(0.0, engine.now - issue_done)
             prev_completion = completion
             prev_waiting = bool(pending)
             pending, prev_events = prev_events, pending
