@@ -16,8 +16,9 @@ perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench --quick \
 	  --out .cache/BENCH_sim.json --check BENCH_sim.json --tolerance 0.2
 
-# Bit-exact contracts (idle-off identity, cache equivalence), diffed with
-# zero tolerance.
+# Bit-exact contracts, diffed with zero tolerance: idle-off identity, cache
+# equivalence against ReferenceCache, the remote-path pins (metrics and
+# events_processed) and shared-trace identity (one build per spec vs per pair).
 differential:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/differential -q
 

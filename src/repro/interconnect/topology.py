@@ -13,7 +13,11 @@ one :class:`Route` per ``(src, dst)`` pair on first lookup: the links'
 bandwidth servers in route order, their latency summed in that order, the
 hop count and the switch traversals.  A transfer
 (:meth:`Topology.transfer_time`) then takes one reservation per hop, and the
-caller reads the hop counts it charges off the same entry.
+caller reads the hop counts it charges off the same entry.  The reservations
+and the :class:`~repro.interconnect.traffic.TrafficCounters` update are done
+in place in that method's loop, with the arithmetic of
+:meth:`~repro.sim.resources.BandwidthServer.reserve` and
+:meth:`~repro.interconnect.traffic.TrafficCounters.record`.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ study gives every GPM one HBM stack at 256 GB/s (Table III); the K40
 validation substrate uses a GDDR5 preset at the K40's 280 GB/s (Table Ia).
 Energy per bit differs between the two technologies and is consumed by the
 energy model, not here — the timing layer only reports transactions.
+
+Every read and write reserves the channel's FCFS server in place, with
+:meth:`~repro.sim.resources.BandwidthServer.reserve`'s arithmetic, so one
+division serves the reservation and the queueing metric alike.
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ This module implements the complete access flow for one GPM:
   what makes the kernel-boundary flash-invalidate correct without writeback
   traffic: no remote-homed line is ever dirty.
 
+A warp prices a whole segment in one call, :meth:`GpmMemory.access_segment`,
+whose loop runs every line's page-home lookup and L1 -> L2 -> DRAM/remote path
+inline; :meth:`GpmMemory.access` is the one-access case of it.
+
 Local paths are priced *analytically*: every stage carries the same constant
 pipeline offset, so reserving at ``earliest = issue + latency`` preserves FCFS
 order and the warp sleeps once, on the final completion time.  Remote paths
@@ -27,7 +31,9 @@ continuations (:class:`RemoteLoad`, :class:`RemoteStore`) that reserve each
 resource when the payload actually arrives at it.  Each stage is a bound
 method the engine calls directly (:meth:`~repro.sim.engine.Engine.call_at`),
 taking exactly the now-queue or heap slot a generator process's
-``wait_until`` step would take, at a fraction of a process's cost.
+``wait_until`` step would take, at a fraction of a process's cost.  A
+:class:`RemoteLoad` is itself the :class:`~repro.sim.engine.Event` the warp
+waits on.
 """
 
 from __future__ import annotations

@@ -61,12 +61,12 @@ class SmCore:
 
     def memory_access(
         self, access: MemAccess, earliest: float
-    ) -> "tuple[float, tuple | list]":
+    ) -> "tuple[float, list]":
         """Route one warp access through this SM's L1 and the GPM hierarchy.
 
-        Returns the analytic completion bound plus any remote-path completion
-        events the warp must additionally wait on (a shared immutable empty
-        container when there are none).
+        Returns the analytic completion bound plus the remote loads the warp
+        must additionally wait on (an empty list when there are none).  Warps
+        price whole segments through ``GpmMemory.access_segment`` instead.
         """
         return self.memory.access(self.local_index, access, earliest)
 

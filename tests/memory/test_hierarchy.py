@@ -1,5 +1,7 @@
 """GPM memory path: L1/L2/DRAM routing, transactions, and remote accesses."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
@@ -201,6 +203,101 @@ class TestRemoteAccess:
         assert done == gpm0.latencies.l1 and not events
         with pytest.raises(ConfigError):
             engine.run()
+
+
+class TestAccessSegment:
+    """One hand-built segment through ``access_segment``, pinned to literals.
+
+    The literals were recorded by folding :meth:`GpmMemory.access` over the
+    same accesses one at a time, before segments were priced in one call.
+    """
+
+    #: Counters of GPM 0 and GPM 1 after setup, segment and drain.
+    COUNTERS = (
+        dict(
+            shared_rf_txns=1, l1_rf_txns=25, l2_l1_txns=92, dram_l2_txns=20,
+            inter_gpm_bytes=448, inter_gpm_byte_hops=448,
+            local_accesses=22, remote_accesses=3, l1_hits=1, l1_misses=6,
+            l2_hits=1, l2_misses=5, dirty_writebacks=2,
+        ),
+        dict(dram_l2_txns=12),
+    )
+
+    def _setup(self, engine):
+        placement = PagePlacement(num_gpms=2)
+        gpms = [
+            build_gpm(engine, gpm_id, 2, placement, CounterSet())
+            for gpm_id in range(2)
+        ]
+        topology = RingTopology(
+            engine, 2, per_gpm_bandwidth_gbps=256.0,
+            link_latency_cycles=10.0, energy_pj_per_bit=0.54,
+        )
+        for gpm in gpms:
+            gpm.connect(topology, gpms)
+        for address in (0x30000, 0x100000, 0x110000):
+            placement.home(address, toucher_gpm=1)
+        gpm0 = gpms[0]
+        # 16 dirty lines fill L2 set 0; SM 0 holds 0x8080 in its L1, and
+        # SM 1's load leaves 0x9080 in the shared L2 only.
+        for way in range(16):
+            gpm0.access(0, MemAccess(way * 4096, 128, is_store=True), 0.0)
+        gpm0.access(0, MemAccess(0x8080, 128), 0.0)
+        gpm0.access(1, MemAccess(0x9080, 128), 0.0)
+        engine.run()
+        segment = (
+            MemAccess(0x40, 128, space=MemSpace.SHARED),
+            MemAccess(0x8080, 128),                    # L1 hit
+            MemAccess(0x9080, 128),                    # L1 miss, L2 hit
+            # Unaligned, two lines: a first-touch local line, then the
+            # first line of a remote page.
+            MemAccess(0x30000 - 0x40, 128),
+            MemAccess(0x10000, 128, is_store=True),    # evicts a dirty line
+            MemAccess(0x100080, 128),                  # remote load
+            MemAccess(0x110000, 128, is_store=True),   # remote store
+        )
+        return gpms, topology, segment
+
+    def _check(self, engine, gpms, topology, completion, pending):
+        assert completion == 454.3725
+        fired = [None] * len(pending)
+        for index, event in enumerate(pending):
+            event.add_callback(
+                lambda _value, index=index: fired.__setitem__(index, engine.now)
+            )
+        engine.run()
+        assert fired == [475.30375000000004, 476.04875000000004]
+        for gpm, expected in zip(gpms, self.COUNTERS):
+            counters = dataclasses.asdict(gpm.counters)
+            del counters["per_gpm"], counters["instructions"]
+            assert counters == {**dict.fromkeys(counters, 0), **expected}
+        dram0, dram1 = gpms[0].dram, gpms[1].dram
+        assert (dram0.reads, dram0.writes, dram0.server.free_at) == (
+            3, 2, 155.1175
+        )
+        assert (dram1.reads, dram1.writes, dram1.server.free_at) == (
+            2, 1, 164.93125
+        )
+        assert dataclasses.astuple(gpms[0].l2.stats) == (1, 5, 0, 17, 2, 2, 0)
+        assert dataclasses.astuple(gpms[0].l1s[0].stats) == (1, 5, 0, 0, 0, 0, 0)
+        assert dataclasses.astuple(topology.traffic) == (5, 448, 448, 0)
+        assert engine.events_processed == 15
+
+    def test_segment_in_one_call(self, engine):
+        gpms, topology, segment = self._setup(engine)
+        pending = []
+        completion = gpms[0].access_segment(0, segment, engine.now + 4.0, pending)
+        self._check(engine, gpms, topology, completion, pending)
+
+    def test_fold_of_single_accesses(self, engine):
+        gpms, topology, segment = self._setup(engine)
+        earliest = engine.now + 4.0
+        completion, pending = earliest, []
+        for access in segment:
+            done, events = gpms[0].access(0, access, earliest)
+            completion = max(completion, done)
+            pending.extend(events)
+        self._check(engine, gpms, topology, completion, pending)
 
 
 class TestLatencyValidation:
