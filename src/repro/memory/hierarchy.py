@@ -161,9 +161,10 @@ class GpmMemory:
         warp does not wait for downstream drain); loads complete on data
         arrival.
 
-        The whole L1 -> L2 -> DRAM/remote path of every line runs inline in
-        this one loop: at several accesses per segment, one call per stage
-        per line was the bulk of the memory layer's interpreter cost.
+        The page-home lookup and the whole L1 -> L2 -> DRAM/remote path of
+        every line run inline in this one loop: at several accesses per
+        segment, a call per stage per line would dominate the memory
+        layer's interpreter cost.
         """
         counters = self.counters
         latencies = self.latencies
@@ -204,6 +205,8 @@ class GpmMemory:
                 )
             for line_address in lines:
                 counters.l1_rf_txns += 1
+                # Mapped pages are a dict hit; only a first touch needs
+                # PagePlacement.home, which assigns the page its home.
                 home = page_homes.get(line_address >> page_shift)
                 if home is None:
                     home = placement.home(line_address, gpm_id)
@@ -296,6 +299,8 @@ class RemoteLoad(Event):
         self, memory: GpmMemory, line_address: int, home: int, start: float
     ):
         engine = memory.engine
+        # Event's own fields, set here rather than through Event.__init__:
+        # one call fewer on every remote L2 miss.
         self.engine = engine
         self._callbacks = []
         self.triggered = False

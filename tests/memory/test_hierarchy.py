@@ -289,6 +289,14 @@ class TestAccessSegment:
         completion = gpms[0].access_segment(0, segment, engine.now + 4.0, pending)
         self._check(engine, gpms, topology, completion, pending)
 
+    def test_local_prefix_ends_on_the_l2_hit(self, engine):
+        # Shared access, L1 hit and L2 hit: the L2 hit returns last, after
+        # the L1 and L2 pipeline latencies.
+        gpms, _topology, segment = self._setup(engine)
+        pending = []
+        completion = gpms[0].access_segment(0, segment[:3], 4.0, pending)
+        assert completion == 4.0 + 30.0 + 120.0 and not pending
+
     def test_fold_of_single_accesses(self, engine):
         gpms, topology, segment = self._setup(engine)
         earliest = engine.now + 4.0
