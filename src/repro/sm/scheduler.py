@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Generator
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
@@ -45,18 +46,22 @@ class CtaSlotScheduler:
         """Process generator: execute ``cta_ids`` of ``kernel``; returns when done.
 
         This is itself run as a process by the GPM; it spawns one process per
-        (SM, slot) pair and waits for all of them.
+        (SM, slot) pair that will get a CTA and waits for all of them.  Every
+        slot takes its first step before any warp runs, so the slots in
+        (SM, slot) order take one CTA each until the queue is empty: with
+        fewer CTAs than slots, the rest would find it empty and exit.  Those
+        are never started.
         """
         queue: deque[int] = deque(cta_ids)
         engine = self.sms[0].engine
-        slot_processes = []
-        for sm in self.sms:
-            for slot in range(self.slots_per_sm):
-                process = engine.process(
-                    self._slot_body(sm, slot, kernel, queue),
-                    name=f"sm{sm.sm_id}.slot{slot}",
-                )
-                slot_processes.append(process)
+        slots = ((sm, slot) for sm in self.sms for slot in range(self.slots_per_sm))
+        slot_processes = [
+            engine.process(
+                self._slot_body(sm, slot, kernel, queue),
+                name=f"sm{sm.sm_id}.slot{slot}",
+            )
+            for sm, slot in islice(slots, len(queue))
+        ]
         yield AllOf([process.done for process in slot_processes])
 
     def _slot_body(
