@@ -10,7 +10,7 @@ paper's Section V-C point studies work.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.edpse import ScalingPoint
 from repro.core.energy_model import EnergyBreakdown, EnergyModel, EnergyParams
@@ -18,15 +18,23 @@ from repro.gpu.counters import CounterSet
 from repro.isa.opcodes import Opcode
 
 
-def _counters_to_json(raw: dict) -> dict:
-    """JSON-ify one ``asdict``-ed CounterSet (opcodes by value), recursively
-    covering the per-GPM shards."""
+#: CounterSet field names in declaration order: the keys, in order, of a
+#: counters payload.
+_COUNTER_FIELDS = tuple(f.name for f in fields(CounterSet))
+
+
+def _counters_to_json(counters: CounterSet) -> dict:
+    """JSON-ify one CounterSet (opcodes by value), recursively covering the
+    per-GPM shards.
+
+    Same keys, order and values as ``asdict`` would give, without its
+    recursive deep copy.
+    """
+    raw = {name: getattr(counters, name) for name in _COUNTER_FIELDS}
     raw["instructions"] = {
-        opcode.value: count for opcode, count in raw["instructions"].items()
+        opcode.value: count for opcode, count in counters.instructions.items()
     }
-    raw["per_gpm"] = [
-        _counters_to_json(dict(shard)) for shard in raw.get("per_gpm", ())
-    ]
+    raw["per_gpm"] = [_counters_to_json(shard) for shard in counters.per_gpm]
     return raw
 
 
@@ -75,10 +83,22 @@ class RunRecord:
     # ------------------------------------------------------------ serialization
 
     def to_json(self) -> dict:
-        """Serialize to plain JSON data (opcodes by value)."""
-        data = asdict(self)
-        data["counters"] = _counters_to_json(data.pop("counters"))
-        return data
+        """Serialize to plain JSON data (opcodes by value).
+
+        ``metrics`` and ``residency`` are shared with the record, not
+        copied: both are plain JSON data that nothing mutates.  ``counters``
+        comes last, the key order records have always been written in.
+        """
+        return {
+            "workload": self.workload,
+            "category": self.category,
+            "config_label": self.config_label,
+            "num_gpms": self.num_gpms,
+            "seconds": self.seconds,
+            "metrics": self.metrics,
+            "residency": self.residency,
+            "counters": _counters_to_json(self.counters),
+        }
 
     @classmethod
     def from_json(cls, data: dict) -> "RunRecord":

@@ -52,6 +52,9 @@ def write_json_atomic(path: Path, payload, **dump_kwargs) -> None:
 
     ``os.replace`` is atomic, so a reader sees the old file or the new one,
     never a mix, and two writers racing on one path cannot interleave.
+    The text is encoded in one ``json.dumps`` call: ``json.dump`` always
+    runs the pure-Python encoder, ``dumps`` uses the C one when there is no
+    ``indent``, and both produce the same bytes.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
@@ -59,7 +62,7 @@ def write_json_atomic(path: Path, payload, **dump_kwargs) -> None:
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, **dump_kwargs)
+            handle.write(json.dumps(payload, **dump_kwargs))
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

@@ -18,7 +18,7 @@ import json
 import os
 import platform
 import socket
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -82,7 +82,9 @@ class RunManifest:
     # ----------------------------------------------------------- serialization
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The fields in declaration order, as ``asdict`` gives them, but
+        without its recursive copy: the dict and list fields are shared."""
+        return {name: getattr(self, name) for name in _RUN_MANIFEST_FIELDS}
 
     @classmethod
     def from_json(cls, data: dict) -> "RunManifest":
@@ -123,6 +125,9 @@ class RunManifest:
     def read(cls, path: str | Path) -> "RunManifest":
         with Path(path).open() as handle:
             return cls.from_json(json.load(handle))
+
+
+_RUN_MANIFEST_FIELDS = tuple(f.name for f in fields(RunManifest))
 
 
 #: Bump when the service-manifest layout changes incompatibly.

@@ -1,5 +1,7 @@
 """Result store: two-tier lookup, shared disk layout, crash safety."""
 
+import dataclasses
+import io
 import json
 import sys
 import threading
@@ -113,6 +115,62 @@ class TestResultStore:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["abc.json"]
         assert json.loads((tmp_path / "abc.json").read_text()) == {"value": 1}
+
+
+def _asdict_record_json(record: RunRecord) -> dict:
+    """``RunRecord.to_json`` as it was built from ``dataclasses.asdict``."""
+
+    def counters_json(raw: dict) -> dict:
+        raw["instructions"] = {
+            opcode.value: count for opcode, count in raw["instructions"].items()
+        }
+        raw["per_gpm"] = [counters_json(dict(shard)) for shard in raw["per_gpm"]]
+        return raw
+
+    data = dataclasses.asdict(record)
+    data["counters"] = counters_json(data.pop("counters"))
+    return data
+
+
+class TestByteIdentity:
+    """Records and manifests are written byte for byte as ``json.dump`` of
+    their ``asdict`` forms wrote them."""
+
+    @pytest.fixture(scope="class")
+    def record(self):
+        return run_pair(shrunken_spec("Stream", total_ctas=16), table_iii_config(4))
+
+    def test_record_json_equals_asdict_form(self, record):
+        assert record.metrics and record.residency
+        assert len(record.counters.per_gpm) == 4
+        got, want = record.to_json(), _asdict_record_json(record)
+        assert got == want
+        # Key order at every level, not just equality.
+        assert json.dumps(got) == json.dumps(want)
+
+    def test_put_writes_json_dump_bytes(self, record, tmp_path):
+        payload = record.to_json()
+        ResultStore(cache_dir=tmp_path).put("key", payload)
+        expected = io.StringIO()
+        json.dump(payload, expected)
+        assert (tmp_path / "key.json").read_bytes() == expected.getvalue().encode()
+
+    def test_manifest_json_and_file_equal_asdict_form(self, record, tmp_path):
+        manifest = RunManifest(
+            cache_key="key", workload="Stream", config_label="4-GPM",
+            results_version=4, spec_hash="cafe",
+            config_fingerprint={"num_gpms": 4, "gpm": {"num_sms": 16}},
+            wall_time_s=0.5, events_processed=1234, events_per_sec=5e4,
+            dvfs_residency=record.residency,
+            per_gpm_energy=[{"gpm": 0, "joules": 1.5}, {"gpm": 1, "joules": 2.5}],
+            screen={"mode": "topk", "rank": 1},
+        )
+        want = dataclasses.asdict(manifest)
+        assert json.dumps(manifest.to_json()) == json.dumps(want)
+        path = manifest.write(tmp_path / "key.manifest.json")
+        expected = io.StringIO()
+        json.dump(want, expected, indent=2, sort_keys=True)
+        assert path.read_bytes() == expected.getvalue().encode()
 
 
 class TestConcurrentWriters:
