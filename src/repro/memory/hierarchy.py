@@ -18,7 +18,7 @@ This module implements the complete access flow for one GPM:
 
 A warp prices a whole segment in one call, :meth:`GpmMemory.access_segment`,
 whose loop runs every line's page-home lookup and L1 -> L2 -> DRAM/remote path
-inline; :meth:`GpmMemory.access` is the one-access case of it.
+inline, unaligned multi-line accesses included.
 
 Local paths are priced *analytically*: every stage carries the same constant
 pipeline offset, so reserving at ``earliest = issue + latency`` preserves FCFS
@@ -131,19 +131,6 @@ class GpmMemory:
         self.peers: list["GpmMemory"] = []
 
     # ------------------------------------------------------------------ access
-
-    def access(
-        self, sm_index: int, access: MemAccess, earliest: float
-    ) -> "tuple[float, list[RemoteLoad]]":
-        """Perform one warp-level access: a one-access :meth:`access_segment`.
-
-        Returns ``(completion_time, pending_events)``: the analytic completion
-        bound for local stages (never before ``earliest``) plus the remote
-        loads the access started, each an event that succeeds on data
-        arrival.
-        """
-        pending: list[RemoteLoad] = []
-        return self.access_segment(sm_index, (access,), earliest, pending), pending
 
     def access_segment(
         self,

@@ -11,6 +11,11 @@ The GPM work queue is shared by the GPM's SMs, giving dynamic load balancing
 within a module; *across* modules, CTAs are partitioned statically by the
 distributed scheduler in :mod:`repro.gpu.cta_scheduler` so that first-touch
 placement localizes each partition's pages.
+
+Slots take their first CTA in (SM, slot) order before any warp runs, so a
+share smaller than the GPM's ``num_sms * slots_per_sm`` slots fills SM 0's
+slots first, then SM 1's, and leaves the rest idle.  Only the slots that get
+a CTA are started as processes.
 """
 
 from __future__ import annotations

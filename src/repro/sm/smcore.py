@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from repro.errors import ConfigError
 from repro.gpu.counters import CounterSet
-from repro.isa.program import MemAccess
 from repro.memory.hierarchy import GpmMemory
 from repro.sim.engine import Engine
 from repro.sim.resources import ThroughputServer
@@ -58,17 +57,6 @@ class SmCore:
         self.memory = memory
         self.counters = counters
         self.ctas_retired = 0
-
-    def memory_access(
-        self, access: MemAccess, earliest: float
-    ) -> "tuple[float, list]":
-        """Route one warp access through this SM's L1 and the GPM hierarchy.
-
-        Returns the analytic completion bound plus the remote loads the warp
-        must additionally wait on (an empty list when there are none).  Warps
-        price whole segments through ``GpmMemory.access_segment`` instead.
-        """
-        return self.memory.access(self.local_index, access, earliest)
 
     def busy_cycles(self) -> float:
         """Cycles the issue stage spent serving instructions so far."""

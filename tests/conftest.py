@@ -15,6 +15,7 @@ from repro.gpu.config import (
 from repro.isa.kernel import Kernel, Workload, WorkloadCategory
 from repro.isa.opcodes import Opcode
 from repro.isa.program import MemAccess, Segment, WarpProgram
+from repro.memory.hierarchy import GpmMemory
 from repro.power.meter import PowerMeter
 from repro.power.silicon import SiliconGpu
 
@@ -39,6 +40,14 @@ def make_program(
             Segment(compute={Opcode.FFMA32: compute}, accesses=accs)
         )
     return WarpProgram(built)
+
+
+def access_one(
+    memory: GpmMemory, sm_index: int, access: MemAccess, earliest: float
+) -> tuple[float, list]:
+    """One warp access as a one-access segment: ``(completion, remote loads)``."""
+    pending: list = []
+    return memory.access_segment(sm_index, (access,), earliest, pending), pending
 
 
 def tiny_workload(

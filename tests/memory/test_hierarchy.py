@@ -16,6 +16,8 @@ from repro.memory.pages import PagePlacement
 from repro.sim.engine import Engine
 from repro.units import SECTORS_PER_LINE
 
+from tests.conftest import access_one
+
 
 def build_gpm(engine, gpm_id=0, num_gpms=1, placement=None, counters=None):
     placement = placement or PagePlacement(num_gpms=num_gpms)
@@ -49,8 +51,8 @@ class TestLocalLoads:
         memory = build_gpm(engine)
         memory.connect(None, [memory])
         access = MemAccess(address=0x1000, size=128)
-        t1, ev1 = memory.access(0, access, earliest=0.0)
-        t2, ev2 = memory.access(0, access, earliest=t1)
+        t1, ev1 = access_one(memory, 0, access, earliest=0.0)
+        t2, ev2 = access_one(memory, 0, access, earliest=t1)
         assert not ev1 and not ev2
         # Second access is an L1 hit: just L1 latency beyond its start.
         assert t2 - t1 == pytest.approx(memory.latencies.l1)
@@ -61,7 +63,7 @@ class TestLocalLoads:
         counters = CounterSet()
         memory = build_gpm(engine, counters=counters)
         memory.connect(None, [memory])
-        memory.access(0, MemAccess(address=0, size=128), earliest=0.0)
+        access_one(memory, 0, MemAccess(address=0, size=128), earliest=0.0)
         assert counters.l1_rf_txns == 1
         assert counters.l2_l1_txns == SECTORS_PER_LINE
         assert counters.dram_l2_txns == SECTORS_PER_LINE
@@ -71,9 +73,9 @@ class TestLocalLoads:
         memory = build_gpm(engine, counters=counters)
         memory.connect(None, [memory])
         # SM 0 fills L2; SM 1 misses its own L1 but hits the shared L2.
-        memory.access(0, MemAccess(address=0, size=128), earliest=0.0)
+        access_one(memory, 0, MemAccess(address=0, size=128), earliest=0.0)
         dram_before = counters.dram_l2_txns
-        memory.access(1, MemAccess(address=0, size=128), earliest=0.0)
+        access_one(memory, 1, MemAccess(address=0, size=128), earliest=0.0)
         assert counters.dram_l2_txns == dram_before
         assert counters.l2_hits == 1
 
@@ -81,7 +83,7 @@ class TestLocalLoads:
         counters = CounterSet()
         memory = build_gpm(engine, counters=counters)
         access = MemAccess(address=0x40, size=128, space=MemSpace.SHARED)
-        t, events = memory.access(0, access, earliest=5.0)
+        t, events = access_one(memory, 0, access, earliest=5.0)
         assert not events
         assert t == pytest.approx(5.0 + memory.latencies.shared)
         assert counters.shared_rf_txns == 1
@@ -91,7 +93,7 @@ class TestLocalLoads:
         counters = CounterSet()
         memory = build_gpm(engine, counters=counters)
         memory.connect(None, [memory])
-        memory.access(0, MemAccess(address=0, size=128), earliest=0.0)
+        access_one(memory, 0, MemAccess(address=0, size=128), earliest=0.0)
         assert counters.local_accesses == 1
         assert counters.remote_accesses == 0
 
@@ -101,7 +103,7 @@ class TestStores:
         memory = build_gpm(engine)
         memory.connect(None, [memory])
         access = MemAccess(address=0x2000, size=128, is_store=True)
-        t, events = memory.access(0, access, earliest=0.0)
+        t, events = access_one(memory, 0, access, earliest=0.0)
         assert not events
         assert t == pytest.approx(memory.latencies.l1)
 
@@ -109,7 +111,7 @@ class TestStores:
         counters = CounterSet()
         memory = build_gpm(engine, counters=counters)
         memory.connect(None, [memory])
-        memory.access(0, MemAccess(address=0, size=128, is_store=True), 0.0)
+        access_one(memory, 0, MemAccess(address=0, size=128, is_store=True), 0.0)
         assert counters.l2_l1_txns == SECTORS_PER_LINE
         assert memory.l2.probe(0)   # write-allocate at L2
 
@@ -121,7 +123,7 @@ class TestStores:
         sets = memory.l2.config.num_sets
         for way in range(17):
             address = way * sets * 128
-            memory.access(0, MemAccess(address=address, size=128, is_store=True), 0.0)
+            access_one(memory, 0, MemAccess(address=address, size=128, is_store=True), 0.0)
         assert counters.dirty_writebacks >= 1
         assert counters.dram_l2_txns >= SECTORS_PER_LINE
 
@@ -143,7 +145,7 @@ class TestRemoteAccess:
     def test_remote_load_runs_as_process(self, engine):
         gpm0, gpm1, counters, placement = self._pair(engine)
         placement.home(0x100000, toucher_gpm=1)  # page homed remotely
-        t, events = gpm0.access(0, MemAccess(address=0x100000, size=128), 0.0)
+        t, events = access_one(gpm0, 0, MemAccess(address=0x100000, size=128), 0.0)
         assert len(events) == 1
         engine.run()
         assert events[0].triggered
@@ -154,7 +156,7 @@ class TestRemoteAccess:
     def test_remote_store_bypasses_local_l2(self, engine):
         gpm0, gpm1, counters, placement = self._pair(engine)
         placement.home(0x100000, toucher_gpm=1)
-        t, events = gpm0.access(
+        t, events = access_one(gpm0, 
             0, MemAccess(address=0x100000, size=128, is_store=True), 0.0
         )
         assert not events  # fire-and-forget
@@ -165,17 +167,17 @@ class TestRemoteAccess:
     def test_remote_load_fills_local_l2(self, engine):
         gpm0, gpm1, counters, placement = self._pair(engine)
         placement.home(0x100000, toucher_gpm=1)
-        _t, events = gpm0.access(0, MemAccess(address=0x100000, size=128), 0.0)
+        _t, events = access_one(gpm0, 0, MemAccess(address=0x100000, size=128), 0.0)
         engine.run()
         assert gpm0.l2.probe(0x100000)
 
     def test_remote_served_from_home_l2_when_present(self, engine):
         gpm0, gpm1, counters, placement = self._pair(engine)
         # GPM 1 touches the line first: homed there and resident in its L2.
-        gpm1.access(0, MemAccess(address=0x100000, size=128), 0.0)
+        access_one(gpm1, 0, MemAccess(address=0x100000, size=128), 0.0)
         engine.run()
         dram_reads_before = gpm1.dram.reads
-        _t, events = gpm0.access(0, MemAccess(address=0x100000, size=128), 0.0)
+        _t, events = access_one(gpm0, 0, MemAccess(address=0x100000, size=128), 0.0)
         engine.run()
         assert gpm1.dram.reads == dram_reads_before  # served from home L2
 
@@ -185,7 +187,7 @@ class TestRemoteAccess:
         gpm0 = build_gpm(engine, 0, 2, placement, counters)
         gpm0.connect(None, [gpm0])
         placement.home(0x100000, toucher_gpm=1)
-        gpm0.access(0, MemAccess(address=0x100000, size=128), 0.0)
+        access_one(gpm0, 0, MemAccess(address=0x100000, size=128), 0.0)
         with pytest.raises(ConfigError):
             engine.run()
 
@@ -197,7 +199,7 @@ class TestRemoteAccess:
         placement.home(0x100000, toucher_gpm=1)
         # The store itself completes when its data leaves the SM; the drain
         # finds the missing interconnect on its first engine step.
-        done, events = gpm0.access(
+        done, events = access_one(gpm0, 
             0, MemAccess(address=0x100000, size=128, is_store=True), 0.0
         )
         assert done == gpm0.latencies.l1 and not events
@@ -241,9 +243,9 @@ class TestAccessSegment:
         # 16 dirty lines fill L2 set 0; SM 0 holds 0x8080 in its L1, and
         # SM 1's load leaves 0x9080 in the shared L2 only.
         for way in range(16):
-            gpm0.access(0, MemAccess(way * 4096, 128, is_store=True), 0.0)
-        gpm0.access(0, MemAccess(0x8080, 128), 0.0)
-        gpm0.access(1, MemAccess(0x9080, 128), 0.0)
+            access_one(gpm0, 0, MemAccess(way * 4096, 128, is_store=True), 0.0)
+        access_one(gpm0, 0, MemAccess(0x8080, 128), 0.0)
+        access_one(gpm0, 1, MemAccess(0x9080, 128), 0.0)
         engine.run()
         segment = (
             MemAccess(0x40, 128, space=MemSpace.SHARED),
@@ -302,7 +304,7 @@ class TestAccessSegment:
         earliest = engine.now + 4.0
         completion, pending = earliest, []
         for access in segment:
-            done, events = gpms[0].access(0, access, earliest)
+            done, events = access_one(gpms[0], 0, access, earliest)
             completion = max(completion, done)
             pending.extend(events)
         self._check(engine, gpms, topology, completion, pending)

@@ -12,6 +12,7 @@ from repro.isa.program import Segment, WarpProgram
 from repro.memory.pages import PagePlacement
 from repro.sim.engine import Engine
 from repro.sm.scheduler import CtaSlotScheduler
+from repro.trace import ChromeTracer
 
 
 def compute_factory(cta_id: int, warp_id: int) -> WarpProgram:
@@ -56,6 +57,48 @@ class TestScheduling:
         engine.run()
         assert gpm.scheduler.ctas_started == 0
         assert engine.now == 0.0
+        # The scheduler itself starts no slot for an empty queue either.
+        engine.process(gpm.scheduler.run_kernel(kernel, []))
+        engine.run()
+        assert engine.events_processed == 3
+        assert engine.now == 0.0
+
+    def test_only_slots_that_get_a_cta_start(self):
+        """3 CTAs on 2 SMs x 4 slots: three slot processes start, all on
+        SM 0, which runs all three CTAs."""
+        tracer = ChromeTracer()
+        engine = Engine(tracer=tracer)
+        gpm = build_gpm(engine, num_sms=2, slots=4)
+        kernel = Kernel("k", num_ctas=3, warps_per_cta=1,
+                        program_factory=compute_factory)
+        engine.process(gpm.run_kernel(kernel, list(range(3))))
+        engine.run()
+        engine_tid = tracer._tids["engine"]
+        slot_spans = [
+            event["name"] for event in tracer.events()
+            if event["tid"] == engine_tid and ".slot" in event["name"]
+        ]
+        assert sorted(slot_spans) == ["sm0.slot0", "sm0.slot1", "sm0.slot2"]
+        assert [sm.ctas_retired for sm in gpm.sms] == [3, 0]
+        assert gpm.scheduler.ctas_finished == 3
+
+    def test_every_slot_starts_when_ctas_cover_them(self):
+        tracer = ChromeTracer()
+        engine = Engine(tracer=tracer)
+        gpm = build_gpm(engine, num_sms=2, slots=2)
+        kernel = Kernel("k", num_ctas=6, warps_per_cta=1,
+                        program_factory=compute_factory)
+        engine.process(gpm.run_kernel(kernel, list(range(6))))
+        engine.run()
+        engine_tid = tracer._tids["engine"]
+        slot_spans = [
+            event["name"] for event in tracer.events()
+            if event["tid"] == engine_tid and ".slot" in event["name"]
+        ]
+        assert sorted(slot_spans) == [
+            "sm0.slot0", "sm0.slot1", "sm1.slot0", "sm1.slot1"
+        ]
+        assert sum(sm.ctas_retired for sm in gpm.sms) == 6
 
     def test_slots_bound_concurrency(self):
         """More slots -> more parallelism -> shorter makespan for

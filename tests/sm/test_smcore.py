@@ -13,6 +13,8 @@ from repro.memory.pages import PagePlacement
 from repro.sim.engine import Engine
 from repro.sm.smcore import SmCore
 
+from tests.conftest import access_one
+
 
 def build_sm(engine, issue_rate=4.0):
     counters = CounterSet()
@@ -55,15 +57,15 @@ class TestMemoryPort:
         engine = Engine()
         sm = build_sm(engine)
         access = MemAccess(address=0x1000, size=128)
-        t1, _ = sm.memory_access(access, earliest=0.0)
-        t2, _ = sm.memory_access(access, earliest=t1)
+        t1, _ = access_one(sm.memory, sm.local_index, access, earliest=0.0)
+        t2, _ = access_one(sm.memory, sm.local_index, access, earliest=t1)
         assert sm.counters.l1_hits == 1
 
     def test_shared_space_access(self):
         engine = Engine()
         sm = build_sm(engine)
         access = MemAccess(address=0, size=128, space=MemSpace.SHARED)
-        t, events = sm.memory_access(access, earliest=10.0)
+        t, events = access_one(sm.memory, sm.local_index, access, earliest=10.0)
         assert not events
         assert t == pytest.approx(10.0 + 25.0)
         assert sm.counters.shared_rf_txns == 1
