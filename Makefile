@@ -18,7 +18,9 @@ perf-smoke:
 
 # Bit-exact contracts, diffed with zero tolerance: idle-off identity, cache
 # equivalence against ReferenceCache, the remote-path pins (metrics and
-# events_processed) and shared-trace identity (one build per spec vs per pair).
+# events_processed), shared-trace identity (one build per spec vs per pair)
+# and the slot pins (runs whose GPM shares leave CTA slots empty; events are
+# the pin minus two per slot that never starts).
 differential:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/differential -q
 

@@ -87,7 +87,7 @@ class RunRecord:
 
         ``metrics`` and ``residency`` are shared with the record, not
         copied: both are plain JSON data that nothing mutates.  ``counters``
-        comes last, the key order records have always been written in.
+        comes last, so cached records keep their bytes.
         """
         return {
             "workload": self.workload,

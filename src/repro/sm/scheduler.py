@@ -51,11 +51,10 @@ class CtaSlotScheduler:
         """Process generator: execute ``cta_ids`` of ``kernel``; returns when done.
 
         This is itself run as a process by the GPM; it spawns one process per
-        (SM, slot) pair that will get a CTA and waits for all of them.  Every
-        slot takes its first step before any warp runs, so the slots in
-        (SM, slot) order take one CTA each until the queue is empty: with
-        fewer CTAs than slots, the rest would find it empty and exit.  Those
-        are never started.
+        (SM, slot) pair that gets a CTA and waits for all of them.  Each slot
+        takes its first CTA before any warp runs, so those are the first
+        ``len(cta_ids)`` pairs in (SM, slot) order; any other slot would find
+        the queue empty on its first step.
         """
         queue: deque[int] = deque(cta_ids)
         engine = self.sms[0].engine

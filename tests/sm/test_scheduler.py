@@ -82,24 +82,6 @@ class TestScheduling:
         assert [sm.ctas_retired for sm in gpm.sms] == [3, 0]
         assert gpm.scheduler.ctas_finished == 3
 
-    def test_every_slot_starts_when_ctas_cover_them(self):
-        tracer = ChromeTracer()
-        engine = Engine(tracer=tracer)
-        gpm = build_gpm(engine, num_sms=2, slots=2)
-        kernel = Kernel("k", num_ctas=6, warps_per_cta=1,
-                        program_factory=compute_factory)
-        engine.process(gpm.run_kernel(kernel, list(range(6))))
-        engine.run()
-        engine_tid = tracer._tids["engine"]
-        slot_spans = [
-            event["name"] for event in tracer.events()
-            if event["tid"] == engine_tid and ".slot" in event["name"]
-        ]
-        assert sorted(slot_spans) == [
-            "sm0.slot0", "sm0.slot1", "sm1.slot0", "sm1.slot1"
-        ]
-        assert sum(sm.ctas_retired for sm in gpm.sms) == 6
-
     def test_slots_bound_concurrency(self):
         """More slots -> more parallelism -> shorter makespan for
         latency-free compute work split across many small CTAs."""
