@@ -37,11 +37,14 @@ reproduce figures:
 
 # Figure-harness smoke: the quick tier (shrunken workloads, reduced grid)
 # regenerates every study into gitignored quick*.txt files (checking the
-# Table Ib and config-table paper claims, which have no quick grid), then the
-# workload/figure property tests assert the phase-schedule invariants and
-# the llmstudy governor direction (see docs/WORKLOADS.md).
+# Table Ib and config-table paper claims, which have no quick grid); a
+# replay of it on the same cache must add no cache entry and rewrite every
+# quick*.txt byte for byte (repeats served from memory, then from disk);
+# then the workload/figure property tests assert the phase-schedule
+# invariants and the llmstudy governor direction (see docs/WORKLOADS.md).
 figures-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro figures --quick
+	PYTHONPATH=src $(PYTHON) -m repro.tools.figures_replay
 	PYTHONPATH=src $(PYTHON) -m pytest tests/workloads/test_llm.py \
 	  tests/experiments/test_llm_study.py tests/roofline/test_screen_fallback.py -q
 

@@ -22,6 +22,11 @@ from repro.isa.opcodes import Opcode
 #: counters payload.
 _COUNTER_FIELDS = tuple(f.name for f in fields(CounterSet))
 
+#: Opcode by value: a dict lookup per instruction-mix entry instead of an
+#: ``Opcode(name)`` enum call.  An unknown name is a ``KeyError``, which a
+#: store read treats as an unreadable entry.
+_OPCODE_BY_VALUE = {opcode.value: opcode for opcode in Opcode}
+
 
 def _counters_to_json(counters: CounterSet) -> dict:
     """JSON-ify one CounterSet (opcodes by value), recursively covering the
@@ -42,7 +47,8 @@ def _counters_from_json(raw: dict) -> CounterSet:
     """Rebuild a CounterSet (and its shards) from its JSON form."""
     raw = dict(raw)
     raw["instructions"] = {
-        Opcode(name): count for name, count in raw["instructions"].items()
+        _OPCODE_BY_VALUE[name]: count
+        for name, count in raw["instructions"].items()
     }
     raw["per_gpm"] = tuple(
         _counters_from_json(shard) for shard in raw.get("per_gpm", ())

@@ -43,7 +43,11 @@ from repro.service.keys import (
     spec_fingerprint as _spec_fingerprint,
     spec_hash as _spec_hash,
 )
-from repro.service.store import ResultStore, default_cache_dir
+from repro.service.store import (
+    MEMORY_CAPACITY,
+    ResultStore,
+    default_cache_dir,
+)
 from repro.trace.manifest import RunManifest
 from repro.trace.metrics import MetricsRegistry
 from repro.workloads.generator import build_workload
@@ -179,9 +183,12 @@ class SweepRunner:
     Besides the records themselves, the runner aggregates every record's
     component metrics into :attr:`metrics` (merging per-worker registries via
     the parallel Welford combine) and writes a provenance manifest beside
-    each freshly simulated cache entry.  Records live in the disk tier of
-    the shared :class:`~repro.service.store.ResultStore`, with no memory
-    tier: a sweep reads each entry once.
+    each freshly simulated cache entry.  Records live in the shared
+    :class:`~repro.service.store.ResultStore`, whose bounded memory tier
+    keeps each entry's decoded record: a runner reads and decodes an entry
+    at most once, and serves every later request for its key (in this sweep
+    or a later one, simulated or loaded) from memory.  With ``use_cache``
+    off nothing is kept, so every pair simulates.
     """
 
     def __init__(self, settings: SweepSettings | None = None):
@@ -189,7 +196,7 @@ class SweepRunner:
         self.store = ResultStore(
             self.settings.cache_dir,
             use_disk=self.settings.use_cache,
-            memory_capacity=0,
+            memory_capacity=MEMORY_CAPACITY if self.settings.use_cache else 0,
         )
         self.cache_hits = 0
         self.cache_misses = 0
@@ -282,8 +289,8 @@ class SweepRunner:
         for index, (spec, config) in enumerate(pairs):
             key = _cache_key(spec, config)
             keys.append(key)
-            loaded = self.store.load(key)
-            if loaded is None:
+            cached = self.store.get_record(key)
+            if cached is None:
                 records.append(None)
                 if key in leader_for_key:
                     followers.append(index)
@@ -298,7 +305,7 @@ class SweepRunner:
                 # rather than replay however the caching run spelled it.
                 records.append(
                     replace(
-                        loaded[1],
+                        cached,
                         workload=spec.abbr,
                         config_label=config.label(),
                     )
@@ -325,7 +332,7 @@ class SweepRunner:
             nonlocal done
             spec, config = pairs[index]
             records[index] = record
-            self.store.put(keys[index], record.to_json())
+            self.store.put(keys[index], record.to_json(), record)
             self._store_manifest(keys[index], spec, config, timing, record)
             done += 1
             self._report(

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import fields
+from functools import cache
 
 from repro.gpu.config import GpuConfig
 from repro.gpu.cta_scheduler import CtaPartitioning
@@ -31,11 +32,33 @@ from repro.workloads.spec import WorkloadSpec
 RESULTS_VERSION = 4
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _field_dict(obj) -> dict:
+    """``asdict(obj)`` without its recursive deep copy: nested dataclass
+    fields become dicts, every other value is shared, not copied.
+
+    Fingerprints are only ever serialized, so sharing is safe, and the JSON
+    they encode to is the same bytes ``asdict`` gave.
+    """
+    out = {}
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
+        # The test ``asdict`` applies: is the value's type a dataclass?
+        if hasattr(type(value), "__dataclass_fields__"):
+            value = _field_dict(value)
+        out[name] = value
+    return out
+
+
 def config_fingerprint(config: GpuConfig) -> dict:
     """Deterministic cache-key content for one GPU configuration."""
     return {
         "num_gpms": config.num_gpms,
-        "gpm": asdict(config.gpm),
+        "gpm": _field_dict(config.gpm),
         "interconnect": (
             None if config.interconnect is None
             else {
@@ -103,15 +126,20 @@ def _canonical_mixes(mapping: dict) -> dict:
 
 def spec_fingerprint(spec: WorkloadSpec) -> dict:
     """Deterministic cache-key content for one workload specification."""
-    fields = asdict(spec)
-    phases = fields.pop("phases", None)
-    return _canonical_mixes(
-        {key: value for key, value in fields.items() if key != "compute_mix"}
-    ) | {"mix": {op.value: w for op, w in spec.compute_mix.items()}} | (
+    flat = _field_dict(spec)
+    del flat["compute_mix"]
+    phases = flat.pop("phases")
+    return _canonical_mixes(flat) | {
+        "mix": {op.value: w for op, w in spec.compute_mix.items()}
+    } | (
         # The phase schedule follows the optional-subsystem precedent:
         # flat specs keep their (byte-pinned) pre-phase cache identity.
         {} if phases is None
-        else {"phases": [_canonical_mixes(phase) for phase in phases]}
+        else {
+            "phases": [
+                _canonical_mixes(_field_dict(phase)) for phase in phases
+            ]
+        }
     )
 
 

@@ -66,7 +66,7 @@ from repro.service.metrics import (
 )
 from repro.service.priority import AgingPolicy
 from repro.service.queue import JobQueue
-from repro.service.store import ResultStore, SingleFlight
+from repro.service.store import MEMORY_CAPACITY, ResultStore, SingleFlight
 from repro.trace.manifest import ServiceManifest
 from repro.trace.metrics import MetricsRegistry
 
@@ -103,7 +103,7 @@ class ServiceConfig:
     #: Result store placement; defaults to the shared sweep cache.
     cache_dir: Path | None = None
     use_disk_cache: bool = True
-    memory_capacity: int = 1024
+    memory_capacity: int = MEMORY_CAPACITY
     #: Background stale-sweep period (``None`` = sweep only on admission).
     evict_interval_s: float | None = None
     #: HTTP bind address (port 0 = ephemeral).

@@ -9,8 +9,12 @@ addresses to ``RunRecord.to_json()`` payloads through two tiers:
   it, so a result simulated by either is a hit for both and the two can
   never skew; and
 * a bounded in-memory LRU over it (the O(1) hot path a repeated
-  paper-study config hits).  The service sizes it with ``memory_capacity``;
-  the sweep runner passes 0 and reads the disk tier alone.
+  paper-study config hits).  The service sizes it with ``memory_capacity``
+  and keeps payloads alone.  The sweep runner takes the default capacity
+  and looks records up with :meth:`ResultStore.get_record`, so its entries
+  also keep the decoded :class:`~repro.experiments.results.RunRecord`: one
+  runner reads and decodes each entry at most once, however many of its
+  sweeps ask for it.
 
 Reads are tolerant: an entry that cannot be opened, is not JSON, or does
 not decode as a :class:`~repro.experiments.results.RunRecord` is a miss and
@@ -69,6 +73,10 @@ def write_json_atomic(path: Path, payload, **dump_kwargs) -> None:
         raise
 
 
+#: Entries the memory tier holds unless told otherwise.
+MEMORY_CAPACITY = 1024
+
+
 class ResultStore:
     """Two-tier (memory LRU over disk) content-addressed record store."""
 
@@ -76,12 +84,17 @@ class ResultStore:
         self,
         cache_dir: Path | None = None,
         use_disk: bool = True,
-        memory_capacity: int = 1024,
+        memory_capacity: int = MEMORY_CAPACITY,
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.use_disk = use_disk
         self.memory_capacity = memory_capacity
-        self._memory: OrderedDict[str, dict] = OrderedDict()
+        #: key -> (payload, its decoded record).  The record stays ``None``
+        #: until :meth:`get_record` decodes it or a ``put`` passes it, so
+        #: payload reads (the service's) keep payloads alone.
+        self._memory: OrderedDict[str, tuple[dict, RunRecord | None]] = (
+            OrderedDict()
+        )
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -117,28 +130,56 @@ class ResultStore:
 
     def get(self, key: str) -> dict | None:
         """The stored record payload for ``key`` (memory, then disk)."""
-        record = self._memory.get(key)
-        if record is not None:
+        entry = self._memory.get(key)
+        if entry is not None:
             self._memory.move_to_end(key)
+            return entry[0]
+        loaded = self.load(key)
+        if loaded is None:
+            return None
+        self._remember(key, loaded[0], None)
+        return loaded[0]
+
+    def get_record(self, key: str) -> RunRecord | None:
+        """The decoded record for ``key`` (memory, then disk).
+
+        The memory tier keeps the record beside its payload, so a repeat
+        lookup neither reads nor decodes.  Callers share the returned
+        record and must not mutate it.
+        """
+        entry = self._memory.get(key)
+        if entry is not None:
+            self._memory.move_to_end(key)
+            payload, record = entry
+            if record is None:
+                from repro.experiments.results import RunRecord
+
+                record = RunRecord.from_json(payload)
+                self._memory[key] = (payload, record)
             return record
         loaded = self.load(key)
         if loaded is None:
             return None
-        self._remember(key, loaded[0])
-        return loaded[0]
+        self._remember(key, *loaded)
+        return loaded[1]
 
     # ------------------------------------------------------------------- store
 
-    def put(self, key: str, record: dict) -> None:
-        """Store one record payload under its content address."""
-        self._remember(key, record)
+    def put(
+        self, key: str, payload: dict, record: RunRecord | None = None
+    ) -> None:
+        """Store one record payload under its content address; ``record``,
+        its decoded form, is kept in memory for :meth:`get_record`."""
+        self._remember(key, payload, record)
         if self.use_disk:
-            write_json_atomic(self.path(key), record)
+            write_json_atomic(self.path(key), payload)
 
-    def _remember(self, key: str, record: dict) -> None:
+    def _remember(
+        self, key: str, payload: dict, record: RunRecord | None
+    ) -> None:
         if self.memory_capacity <= 0:
             return
-        self._memory[key] = record
+        self._memory[key] = (payload, record)
         self._memory.move_to_end(key)
         while len(self._memory) > self.memory_capacity:
             self._memory.popitem(last=False)

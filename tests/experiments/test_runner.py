@@ -1,15 +1,22 @@
 """Sweep runner: caching, determinism, grid shapes."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import SweepRunner, SweepSettings, run_pair
+from repro.experiments.runner import (
+    SweepRunner,
+    SweepSettings,
+    _cache_key,
+    run_pair,
+)
 from repro.experiments.results import RunRecord
 from repro.gpu.config import BandwidthSetting, table_iii_config
 from repro.isa.kernel import WorkloadCategory
 from repro.isa.opcodes import Opcode
+from repro.service.store import ResultStore
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -144,6 +151,68 @@ class TestCaching:
         assert parallel.cache_hits == 2
         assert parallel.cache_misses == 0
         assert len(records) == 2
+
+
+class TestMemoryTier:
+    """One runner reads and decodes each cache entry at most once."""
+
+    @staticmethod
+    def _requests():
+        # Overlapping sweep requests, as the figures issue them: each one
+        # re-asks for the baseline and shares grid points with the others.
+        a, b = tiny_spec(seed=1), tiny_spec(seed=2, abbr="Tiny2", name="T2")
+        one, two, four = (table_iii_config(n) for n in (1, 2, 4))
+        return [
+            [(a, one), (a, two), (b, one)],
+            [(a, one), (b, one), (b, two)],
+            [(a, two), (a, four), (b, two), (a, one)],
+            [(b, one)],
+        ]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_each_key_loaded_at_most_once(self, tmp_path, monkeypatch, warm):
+        requests = self._requests()
+        pairs = [pair for request in requests for pair in request]
+        distinct = {_cache_key(spec, config) for spec, config in pairs}
+        if warm:
+            SweepRunner(SweepSettings(cache_dir=tmp_path, processes=1)).run(
+                pairs
+            )
+        loads = Counter()
+        disk_load = ResultStore.load
+
+        def counted_load(store, key):
+            loads[key] += 1
+            return disk_load(store, key)
+
+        monkeypatch.setattr(ResultStore, "load", counted_load)
+        runner = SweepRunner(SweepSettings(cache_dir=tmp_path, processes=1))
+        served = [runner.run(request) for request in requests]
+        assert set(loads) == distinct
+        assert max(loads.values()) == 1
+        assert runner.cache_misses == (0 if warm else len(distinct))
+        # Memory hits count as hits.
+        assert runner.cache_hits == len(pairs) - runner.cache_misses
+
+        # Each request served exactly as a fresh runner serves it from disk.
+        for request, records in zip(requests, served):
+            fresh = SweepRunner(
+                SweepSettings(cache_dir=tmp_path, processes=1)
+            ).run(request)
+            assert [record.to_json() for record in records] == [
+                record.to_json() for record in fresh
+            ]
+
+    def test_memory_hit_relabelled_from_requested_config(self, runner):
+        # The config name is not part of the key, so a renamed config is a
+        # memory hit that must still carry the requested label.
+        spec, config = tiny_spec(), table_iii_config(1)
+        renamed = dataclasses.replace(config, name="1-GPM/renamed")
+        [first] = runner.run([(spec, config)])
+        [again] = runner.run([(spec, renamed)])
+        assert runner.cache_hits == 1
+        assert again.config_label == renamed.label() != first.config_label
+        assert again.counters == first.counters
 
 
 class TestGrid:

@@ -9,13 +9,16 @@ instead of silently orphaning every cached result.
 
 import dataclasses
 import hashlib
+import json
 
 from repro.dvfs.config import DvfsConfig
+from repro.dvfs.idle import IdleConfig
 from repro.dvfs.operating_point import K40_VF_CURVE
 from repro.gpu.config import table_iii_config
 from repro.gpu.cta_scheduler import CtaPartitioning
+from repro.interconnect.compression import CompressionConfig
 from repro.service import keys
-from repro.workloads.suite import shrunken_spec
+from repro.workloads.suite import all_specs, shrunken_spec
 
 #: Byte-for-byte golden keys.  If a change is *intentional* (simulator
 #: semantics changed), bump RESULTS_VERSION in repro.service.keys and
@@ -138,3 +141,75 @@ class TestSubsystemGating:
         # Deterministic: an identical schedule maps to the identical key.
         again = shrunken_spec("LLMServe", total_ctas=16, kernels=1)
         assert keys.cache_key(phased, config) == keys.cache_key(again, config)
+
+
+def _asdict_spec_fingerprint(spec) -> dict:
+    """``spec_fingerprint`` as it was built from ``dataclasses.asdict``."""
+    flat = dataclasses.asdict(spec)
+    phases = flat.pop("phases", None)
+    return keys._canonical_mixes(
+        {key: value for key, value in flat.items() if key != "compute_mix"}
+    ) | {"mix": {op.value: w for op, w in spec.compute_mix.items()}} | (
+        {} if phases is None
+        else {"phases": [keys._canonical_mixes(phase) for phase in phases]}
+    )
+
+
+def _asdict_key_blob(spec, config) -> str:
+    """``key_blob`` with both fingerprints' dataclass fields taken from
+    ``dataclasses.asdict``, as the keys were first derived."""
+    return json.dumps(
+        {
+            "version": keys.RESULTS_VERSION,
+            "spec": _asdict_spec_fingerprint(spec),
+            "config": keys.config_fingerprint(config)
+            | {"gpm": dataclasses.asdict(config.gpm)},
+        },
+        sort_keys=True,
+        default=str,
+    )
+
+
+def _key_configs() -> list:
+    """A plain config plus one per optional section of the fingerprint."""
+    plain = table_iii_config(4)
+    return [
+        table_iii_config(1),
+        plain,
+        dataclasses.replace(
+            plain, dvfs=DvfsConfig.core_only(K40_VF_CURVE.point_at(562e6))
+        ),
+        dataclasses.replace(plain, idle=IdleConfig(governor="race-to-idle")),
+        dataclasses.replace(
+            plain, compression=CompressionConfig(data_ratio=2.0)
+        ),
+        dataclasses.replace(plain, power_cap_watts=150.0),
+        dataclasses.replace(plain, partitioning=CtaPartitioning.ROUND_ROBIN),
+    ]
+
+
+class TestAsdictIdentity:
+    """The copy-free fingerprints encode to the bytes ``asdict`` gave."""
+
+    def test_every_registered_spec_on_every_config_section(self):
+        specs = all_specs()
+        assert any(spec.phases for spec in specs.values())
+        configs = _key_configs()
+        for spec in specs.values():
+            for config in configs:
+                assert keys.key_blob(spec, config) == (
+                    _asdict_key_blob(spec, config)
+                ), f"{spec.abbr} on {config.label()}"
+
+    def test_shrunken_and_phase_schedule_specs(self):
+        config = table_iii_config(2)
+        for abbr in ("Stream", "BPROP", "LLMServe", "LLMPrefill"):
+            spec = shrunken_spec(abbr, total_ctas=16, kernels=1)
+            assert keys.key_blob(spec, config) == (
+                _asdict_key_blob(spec, config)
+            ), abbr
+            assert keys.spec_hash(spec) == hashlib.sha256(
+                json.dumps(
+                    _asdict_spec_fingerprint(spec), sort_keys=True, default=str
+                ).encode()
+            ).hexdigest()[:24]

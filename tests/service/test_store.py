@@ -62,12 +62,35 @@ class TestResultStore:
         assert store.get("c") == {"n": 3}
 
     def test_zero_capacity_keeps_no_memory_tier(self, tmp_path):
-        # The sweep runner's configuration: disk only.
         store = ResultStore(cache_dir=tmp_path, memory_capacity=0)
         store.put("abc", _payload())
         assert len(store) == 0
         assert store.get("abc") == _payload()
         assert len(store) == 0
+
+    def test_payload_reads_keep_no_decoded_record(self, tmp_path):
+        # The service's path: entries hold payloads alone.
+        ResultStore(cache_dir=tmp_path).put("abc", _payload())
+        store = ResultStore(cache_dir=tmp_path)
+        assert store.get("abc") == _payload()
+        assert store._memory["abc"][1] is None
+        # A record lookup decodes it once and keeps it beside the payload.
+        record = store.get_record("abc")
+        assert record.to_json() == _payload()
+        assert store.get_record("abc") is record
+        assert store.get("abc") == _payload()
+
+    def test_record_lookups_serve_repeats_from_memory(self, tmp_path):
+        ResultStore(cache_dir=tmp_path).put("abc", _payload())
+        store = ResultStore(cache_dir=tmp_path)
+        record = store.get_record("abc")
+        (tmp_path / "abc.json").unlink()
+        assert store.get_record("abc") is record
+        assert store.get_record("missing") is None
+        # A put that passes the decoded record keeps it.
+        fresh = RunRecord.from_json(_payload(seconds=2.0))
+        store.put("def", fresh.to_json(), fresh)
+        assert store.get_record("def") is fresh
 
     def test_corrupt_disk_entry_is_dropped_not_served(self, tmp_path):
         store = ResultStore(cache_dir=tmp_path)
