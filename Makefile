@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test perf-smoke perf-baseline differential reproduce figures figures-smoke examples trace-smoke service-smoke roofline-smoke idle-smoke clean-cache loc
+.PHONY: install test perf-gate differential reproduce figures figures-smoke examples trace-smoke service-smoke roofline-smoke idle-smoke clean-cache loc
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,11 +10,24 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Simulator-throughput regression check: quick case, normalized events/sec
-# compared against the committed baseline (see docs/PERFORMANCE.md).
-perf-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro bench --quick \
-	  --out .cache/BENCH_sim.json --check BENCH_sim.json --tolerance 0.2
+# Performance gate: the repository benchmark on revision BASE and on this
+# tree, on the same host.  Each tree runs `run --all --seed 0` three times,
+# alternating which goes first, then `compare` exits 1 on any end-to-end
+# metric worse than its BENCHMARK.json bound or a higher failure ratio
+# (see docs/PERFORMANCE.md).  Usage: make perf-gate BASE=<rev>
+perf-gate:
+	@test -n "$(BASE)" || { echo "usage: make perf-gate BASE=<rev>" >&2; exit 2; }
+	rm -rf .cache/perf-gate
+	mkdir -p .cache/perf-gate/base
+	git archive $(BASE) | tar -x -C .cache/perf-gate/base
+	$(PYTHON) -m compileall -q src
+	cd .cache/perf-gate/base && $(PYTHON) -m compileall -q src
+	for side in base change change base base change; do \
+	  if [ $$side = base ]; then tree=.cache/perf-gate/base; else tree=.; fi; \
+	  (cd $$tree && $(PYTHON) -m benchmarks.suite run --all --seed 0 \
+	    --out $(CURDIR)/.cache/perf-gate/$$side.jsonl) || exit $$?; \
+	done
+	$(PYTHON) -m benchmarks.suite compare .cache/perf-gate/base.jsonl .cache/perf-gate/change.jsonl
 
 # Bit-exact contracts, diffed with zero tolerance: idle-off identity, cache
 # equivalence against ReferenceCache, the remote-path pins (metrics and
@@ -23,10 +36,6 @@ perf-smoke:
 # the pin minus two per slot that never starts).
 differential:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/differential -q
-
-# Regenerate the committed throughput baseline (full sweep; quiet machine).
-perf-baseline:
-	PYTHONPATH=src $(PYTHON) -m repro bench --out BENCH_sim.json
 
 # Regenerate every registered study into results/<study>/ (fills .cache/
 # on first run; the paper figures' and idle study's logs are committed, so

@@ -25,10 +25,6 @@ subcommands observe or serve single runs (see ``docs/OBSERVABILITY.md``):
 * ``repro roofline`` — score a workload's V/f ladder with the closed-form
   roofline predictor and compare against simulation; ``--check-bounds``
   verifies the committed error-bound manifest (see docs/MODELING.md).
-* ``repro bench`` — run the simulator throughput benchmark (the headline
-  1–32 GPM sweep, or ``--quick`` for a single small case) and write
-  ``BENCH_sim.json``; ``--check`` compares against a committed baseline
-  (see ``docs/PERFORMANCE.md``).
 * ``repro serve`` / ``repro submit`` — run the sweep-as-a-service job queue
   (admission control, priority lanes, single-flight dedup, content-addressed
   result store) and submit jobs to it (see ``docs/SERVICE.md``).
@@ -1013,13 +1009,6 @@ def _submit_main(argv: list[str]) -> int:
     return 0
 
 
-def _bench_main(argv: list[str]) -> int:
-    """``repro bench``: the simulator throughput benchmark."""
-    from repro.tools.bench_engine import main as bench_main
-
-    return bench_main(argv)
-
-
 #: Subcommand dispatch: every entry runs under the same ConfigError guard,
 #: so invalid configuration anywhere in the CLI is one stderr line + exit 2.
 _SUBCOMMANDS = {
@@ -1029,7 +1018,6 @@ _SUBCOMMANDS = {
     "profile": _profile_main,
     "dvfs": _dvfs_main,
     "roofline": _roofline_main,
-    "bench": _bench_main,
     "serve": _serve_main,
     "submit": _submit_main,
 }
@@ -1065,7 +1053,7 @@ def main(argv: list[str] | None = None) -> int:
         epilog=(
             "'repro figures' runs every study (paper tables, figures, and"
             " extensions) into results/<study>/; the other subcommands"
-            " observe, benchmark, or serve single runs.  Run 'repro"
+            " observe or serve single runs.  Run 'repro"
             " <subcommand> --help' for its options.  See EXPERIMENTS.md,"
             " docs/OBSERVABILITY.md, docs/POWER.md, and"
             " docs/PERFORMANCE.md."

@@ -34,14 +34,12 @@ from repro.gpu.simulator import simulate
 
 # Result identity (fingerprints, spec hash, cache key, RESULTS_VERSION)
 # lives in repro.service.keys — the public content-address API shared with
-# the sweep service.  The underscore aliases keep this module's historical
-# import surface stable for existing callers and tests.
+# the sweep service.
 from repro.service.keys import (
     RESULTS_VERSION,
-    cache_key as _cache_key,
-    config_fingerprint as _config_fingerprint,
-    spec_fingerprint as _spec_fingerprint,
-    spec_hash as _spec_hash,
+    cache_key,
+    config_fingerprint,
+    spec_hash,
 )
 from repro.service.store import (
     MEMORY_CAPACITY,
@@ -74,8 +72,6 @@ class SweepSettings:
     use_cache: bool = True
     #: Emit per-simulation progress lines on stderr (or REPRO_PROGRESS=1).
     progress: bool = field(default_factory=_default_progress)
-    #: Write a RunManifest beside every freshly simulated cache entry.
-    write_manifests: bool = True
 
     def __post_init__(self) -> None:
         if self.processes < 1:
@@ -220,7 +216,7 @@ class SweepRunner:
         record: RunRecord | None = None,
     ) -> None:
         """Write run provenance beside the cached record (advisory only)."""
-        if not (self.settings.use_cache and self.settings.write_manifests):
+        if not self.settings.use_cache:
             return
         per_gpm_energy = None
         if record is not None and record.residency is not None:
@@ -239,8 +235,8 @@ class SweepRunner:
             workload=spec.abbr,
             config_label=config.label(),
             results_version=RESULTS_VERSION,
-            spec_hash=_spec_hash(spec),
-            config_fingerprint=_config_fingerprint(config),
+            spec_hash=spec_hash(spec),
+            config_fingerprint=config_fingerprint(config),
             wall_time_s=timing.wall_time_s,
             events_processed=timing.events_processed,
             events_per_sec=timing.events_per_sec,
@@ -287,7 +283,7 @@ class SweepRunner:
         leader_for_key: dict[str, int] = {}
         followers: list[int] = []
         for index, (spec, config) in enumerate(pairs):
-            key = _cache_key(spec, config)
+            key = cache_key(spec, config)
             keys.append(key)
             cached = self.store.get_record(key)
             if cached is None:
@@ -360,7 +356,7 @@ class SweepRunner:
                 # on each of the spec's configurations back to back.
                 by_spec: dict[str, list[int]] = {}
                 for index, (spec, _config) in missing:
-                    by_spec.setdefault(_spec_hash(spec), []).append(index)
+                    by_spec.setdefault(spec_hash(spec), []).append(index)
                 for indices in by_spec.values():
                     runs = _timed_runs(
                         pairs[indices[0]][0],
@@ -482,7 +478,7 @@ class SweepRunner:
                 for point in chosen:
                     pointed = expanded[point]
                     pairs.append((spec, pointed))
-                    self._screen_note[_cache_key(spec, pointed)] = {
+                    self._screen_note[cache_key(spec, pointed)] = {
                         "mode": disposition.mode,
                         "metric": metric,
                         "top_k": top_k,

@@ -55,7 +55,7 @@ class RunManifest:
     events_processed: int = 0
     #: Simulator throughput (events_processed over the simulation's own wall
     #: clock, excluding workload build time) — makes per-run throughput
-    #: regressions visible without the bench harness.
+    #: regressions visible without a benchmark run.
     events_per_sec: float = 0.0
     #: Per-domain operating-point residency of the producing run
     #: (``DvfsResidency.to_json()``); ``None`` when the manifest predates

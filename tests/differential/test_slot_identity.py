@@ -8,7 +8,8 @@ metrics registry (Welford accumulators and histograms), the canonical
 counters and their per-GPM shards, the DVFS/sleep residency,
 ``elapsed_cycles`` and ``events_processed`` against ``slot_pins.json``.
 The cases cover a ring, a switch, an idle-gated race-to-idle run (the
-``MultiGpu._gated_kernel`` path) and the ``repro bench`` quick case.
+``MultiGpu._gated_kernel`` path) and a one-kernel Stream case on a 4-GPM
+ring.
 
 The pins were written when every slot started a process, and a slot that
 found its GPM's queue empty exited on its first step.  Such a slot cost
@@ -35,7 +36,6 @@ from repro.dvfs.idle import IdleConfig
 from repro.gpu.config import GpuConfig, TopologyKind, table_iii_config
 from repro.gpu.cta_scheduler import partition_ctas
 from repro.gpu.simulator import simulate
-from repro.tools.bench_engine import QUICK_CASE
 from repro.tools.regen_goldens import counters_to_json
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
@@ -56,8 +56,8 @@ CASES: dict[str, tuple[WorkloadSpec, GpuConfig]] = {
         replace(table_iii_config(8), idle=IdleConfig(governor="race-to-idle")),
     ),
     "bench-quick": (
-        shrunken_spec(QUICK_CASE.workload, QUICK_CASE.ctas, QUICK_CASE.kernels),
-        table_iii_config(QUICK_CASE.gpms, topology=TopologyKind(QUICK_CASE.topology)),
+        shrunken_spec("Stream", 64, 1),
+        table_iii_config(4, topology=TopologyKind.RING),
     ),
 }
 

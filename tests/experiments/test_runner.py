@@ -6,16 +6,12 @@ from collections import Counter
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.runner import (
-    SweepRunner,
-    SweepSettings,
-    _cache_key,
-    run_pair,
-)
+from repro.experiments.runner import SweepRunner, SweepSettings, run_pair
 from repro.experiments.results import RunRecord
 from repro.gpu.config import BandwidthSetting, table_iii_config
 from repro.isa.kernel import WorkloadCategory
 from repro.isa.opcodes import Opcode
+from repro.service.keys import cache_key, config_fingerprint
 from repro.service.store import ResultStore
 from repro.workloads.spec import WorkloadSpec
 
@@ -173,7 +169,7 @@ class TestMemoryTier:
     def test_each_key_loaded_at_most_once(self, tmp_path, monkeypatch, warm):
         requests = self._requests()
         pairs = [pair for request in requests for pair in request]
-        distinct = {_cache_key(spec, config) for spec, config in pairs}
+        distinct = {cache_key(spec, config) for spec, config in pairs}
         if warm:
             SweepRunner(SweepSettings(cache_dir=tmp_path, processes=1)).run(
                 pairs
@@ -236,7 +232,7 @@ class TestCacheKeyStability:
     # pinned under RESULTS_VERSION 4 (the per-GPM counter-shard record
     # format).  If any of these change without a deliberate RESULTS_VERSION
     # bump, every cache entry is orphaned and the paper's sweeps re-simulate
-    # from scratch — treat such a failure as a bug in _config_fingerprint,
+    # from scratch — treat such a failure as a bug in config_fingerprint,
     # not as a fixture to refresh.
     PINNED = {
         ("Stream", 1): "91e9c12e66c0cf097bf9a905",
@@ -245,29 +241,25 @@ class TestCacheKeyStability:
     }
 
     def test_pre_dvfs_keys_pinned(self):
-        from repro.experiments.runner import _cache_key
         from repro.workloads.suite import WORKLOAD_SPECS
 
-        assert _cache_key(
+        assert cache_key(
             WORKLOAD_SPECS["Stream"], table_iii_config(1)
         ) == self.PINNED[("Stream", 1)]
-        assert _cache_key(
+        assert cache_key(
             WORKLOAD_SPECS["Stream"], table_iii_config(4)
         ) == self.PINNED[("Stream", 4)]
-        assert _cache_key(
+        assert cache_key(
             WORKLOAD_SPECS["BPROP"],
             table_iii_config(2, BandwidthSetting.BW_1X),
         ) == self.PINNED[("BPROP", 2)]
 
     def test_unconfigured_dvfs_absent_from_fingerprint(self):
-        from repro.experiments.runner import _config_fingerprint
-
-        assert "dvfs" not in _config_fingerprint(table_iii_config(2))
+        assert "dvfs" not in config_fingerprint(table_iii_config(2))
 
     def test_configured_dvfs_changes_key(self):
         from repro.dvfs.config import DvfsConfig
         from repro.dvfs.operating_point import K40_VF_CURVE
-        from repro.experiments.runner import _cache_key
         from repro.workloads.suite import WORKLOAD_SPECS
 
         spec = WORKLOAD_SPECS["Stream"]
@@ -282,22 +274,19 @@ class TestCacheKeyStability:
             plain, dvfs=DvfsConfig.core_only(K40_VF_CURVE.anchor)
         )
         keys = {
-            _cache_key(spec, plain),
-            _cache_key(spec, slowed),
-            _cache_key(spec, anchored),
+            cache_key(spec, plain),
+            cache_key(spec, slowed),
+            cache_key(spec, anchored),
         }
         assert len(keys) == 3
-        assert _cache_key(spec, plain) == self.PINNED[("Stream", 4)]
+        assert cache_key(spec, plain) == self.PINNED[("Stream", 4)]
 
     def test_unconfigured_cap_absent_from_fingerprint(self):
-        from repro.experiments.runner import _config_fingerprint
-
-        assert "power_cap_watts" not in _config_fingerprint(
+        assert "power_cap_watts" not in config_fingerprint(
             table_iii_config(2)
         )
 
     def test_configured_cap_changes_key(self):
-        from repro.experiments.runner import _cache_key
         from repro.workloads.suite import WORKLOAD_SPECS
 
         spec = WORKLOAD_SPECS["Stream"]
@@ -305,17 +294,17 @@ class TestCacheKeyStability:
         capped = dataclasses.replace(plain, power_cap_watts=150.0)
         tighter = dataclasses.replace(plain, power_cap_watts=120.0)
         keys = {
-            _cache_key(spec, plain),
-            _cache_key(spec, capped),
-            _cache_key(spec, tighter),
+            cache_key(spec, plain),
+            cache_key(spec, capped),
+            cache_key(spec, tighter),
         }
         assert len(keys) == 3
         # The capped key is itself stable run-to-run (cacheable), and the
         # uncapped config still resolves to its pre-DVFS pinned identity.
-        assert _cache_key(spec, capped) == _cache_key(
+        assert cache_key(spec, capped) == cache_key(
             spec, dataclasses.replace(plain, power_cap_watts=150.0)
         )
-        assert _cache_key(spec, plain) == self.PINNED[("Stream", 4)]
+        assert cache_key(spec, plain) == self.PINNED[("Stream", 4)]
 
 
 class TestOperatingPointGrid:

@@ -89,19 +89,6 @@ class TestGoldenKeys:
         )
 
 
-class TestRunnerCompat:
-    """The sweep runner re-exports these under its historical names."""
-
-    def test_runner_aliases_are_the_same_functions(self):
-        from repro.experiments import runner
-
-        assert runner._cache_key is keys.cache_key
-        assert runner._config_fingerprint is keys.config_fingerprint
-        assert runner._spec_fingerprint is keys.spec_fingerprint
-        assert runner._spec_hash is keys.spec_hash
-        assert runner.RESULTS_VERSION is keys.RESULTS_VERSION
-
-
 class TestSubsystemGating:
     """Optional subsystems join the fingerprint only when configured."""
 
