@@ -38,7 +38,7 @@ from repro.gpu.config import (
     monolithic_config,
     table_iii_config,
 )
-from repro.gpu.simulator import GpuSimulator, RunResult, simulate
+from repro.gpu.simulator import RunResult, simulate
 from repro.isa.kernel import Kernel, Workload, WorkloadCategory
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import SCALING_SUBSET, WORKLOAD_SPECS, get_spec
@@ -62,7 +62,6 @@ __all__ = [
     "k40_config",
     "monolithic_config",
     "table_iii_config",
-    "GpuSimulator",
     "RunResult",
     "simulate",
     "Kernel",

@@ -41,15 +41,14 @@ import sys
 import time
 
 
-def _observed_pair(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    """(workload, config) for one trace/profile invocation.
+def _observed_pair(args: argparse.Namespace):
+    """(spec, config) for one observed invocation.
 
     Invalid combinations raise :class:`~repro.errors.ConfigError`, which the
     subcommand guard in :func:`main` maps to a one-line stderr message and
     exit code 2 — uniformly across every subcommand.
     """
     from repro.gpu.config import TopologyKind, table_iii_config
-    from repro.workloads.generator import build_workload
     from repro.workloads.suite import shrunken_spec
 
     spec = shrunken_spec(
@@ -58,7 +57,17 @@ def _observed_pair(parser: argparse.ArgumentParser, args: argparse.Namespace):
     config = table_iii_config(
         args.gpms, topology=TopologyKind(args.topology)
     )
-    return spec, build_workload(spec), config
+    return spec, config
+
+
+def _ladder_search(metric: str):
+    """A K40-ladder :class:`~repro.dvfs.sweetspot.SweetSpotSearch` that
+    simulates in this process and writes nothing to disk."""
+    from repro.dvfs.sweetspot import SweetSpotSearch
+    from repro.experiments.runner import SweepRunner, SweepSettings
+
+    runner = SweepRunner(SweepSettings(use_cache=False, processes=1))
+    return SweetSpotSearch(runner, metric=metric)
 
 
 def _add_observe_arguments(
@@ -241,6 +250,7 @@ def _print_sleep_residency(residency) -> None:
 def _run_main(argv: list[str]) -> int:
     """``repro run``: simulate one scaled-down workload."""
     from repro.gpu.simulator import simulate
+    from repro.workloads.generator import build_workload
 
     parser = argparse.ArgumentParser(
         prog="repro run",
@@ -252,8 +262,8 @@ def _run_main(argv: list[str]) -> int:
     _add_observe_arguments(parser)
     args = parser.parse_args(argv)
 
-    spec, workload, config = _observed_pair(parser, args)
-    result = simulate(workload, config)
+    spec, config = _observed_pair(args)
+    result = simulate(build_workload(spec), config)
     print(f"{spec.abbr} on {config.label()}")
     counters = result.counters
     print(f"  cycles            {counters.elapsed_cycles:14.0f}")
@@ -271,6 +281,7 @@ def _trace_main(argv: list[str]) -> int:
     """``repro trace``: capture a Chrome trace of one scaled-down workload."""
     from repro.gpu.simulator import simulate
     from repro.trace import ChromeTracer
+    from repro.workloads.generator import build_workload
 
     parser = argparse.ArgumentParser(
         prog="repro trace",
@@ -288,9 +299,9 @@ def _trace_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    spec, workload, config = _observed_pair(parser, args)
+    spec, config = _observed_pair(args)
     tracer = ChromeTracer(process_name=f"{spec.abbr} on {config.label()}")
-    result = simulate(workload, config, tracer=tracer)
+    result = simulate(build_workload(spec), config, tracer=tracer)
     out = args.out or f"{spec.abbr.lower()}_{args.gpms}gpm.trace.json"
     path = tracer.write(out)
     print(f"{spec.abbr} on {config.label()}: {result.cycles:.0f} cycles,")
@@ -304,6 +315,7 @@ def _profile_main(argv: list[str]) -> int:
     from repro.core.energy_model import EnergyParams
     from repro.gpu.simulator import simulate
     from repro.trace import MetricsRegistry
+    from repro.workloads.generator import build_workload
 
     parser = argparse.ArgumentParser(
         prog="repro profile",
@@ -316,7 +328,7 @@ def _profile_main(argv: list[str]) -> int:
     _add_idle_arguments(parser)
     args = parser.parse_args(argv)
 
-    spec, workload, config = _observed_pair(parser, args)
+    spec, config = _observed_pair(args)
     idle = _idle_config_from_args(args, config)
     if idle is not None:
         import dataclasses
@@ -324,7 +336,7 @@ def _profile_main(argv: list[str]) -> int:
         _check_deadline_feasible(args, spec, config)
         config = dataclasses.replace(config, idle=idle)
     metrics = MetricsRegistry()
-    result = simulate(workload, config, metrics=metrics)
+    result = simulate(build_workload(spec), config, metrics=metrics)
     counters = result.counters
 
     print(f"{spec.abbr} on {config.label()}")
@@ -379,13 +391,9 @@ def _dvfs_main(argv: list[str]) -> int:
     from repro.core.energy_model import EnergyModel, EnergyParams
     from repro.dvfs.governor import UtilizationGovernor
     from repro.dvfs.operating_point import K40_VF_CURVE
-    from repro.dvfs.sweetspot import (
-        METRICS,
-        FrequencySample,
-        SweetSpot,
-        with_operating_point,
-    )
+    from repro.dvfs.sweetspot import METRICS
     from repro.gpu.simulator import simulate
+    from repro.workloads.generator import build_workload
 
     parser = argparse.ArgumentParser(
         prog="repro dvfs",
@@ -419,7 +427,7 @@ def _dvfs_main(argv: list[str]) -> int:
     _add_idle_arguments(parser)
     args = parser.parse_args(argv)
 
-    spec, workload, config = _observed_pair(parser, args)
+    spec, config = _observed_pair(args)
     # Reject malformed or infeasible idle knobs before the ladder sweep,
     # same as the cap-feasibility check below.  Building the governed
     # configuration here also validates the cap/governor mix (a budget and
@@ -444,25 +452,8 @@ def _dvfs_main(argv: list[str]) -> int:
         PowerCapGovernor(
             curve=curve, cap_watts=args.cap_watts
         ).initial_points(config.num_gpms)
+    spot = _ladder_search(args.metric).search_one(spec, config)
     anchor_hz = K40_VF_CURVE.anchor.frequency_hz
-    samples = []
-    for point in K40_VF_CURVE.points:
-        pointed = with_operating_point(config, point)
-        result = simulate(workload, pointed)
-        params = EnergyParams.for_operating_point(pointed)
-        energy = EnergyModel(params).evaluate(result.counters, result.seconds)
-        samples.append(
-            FrequencySample(
-                point=point, delay_s=result.seconds, energy_j=energy.total
-            )
-        )
-    spot = SweetSpot(
-        workload=spec.abbr,
-        config_label=config.label(),
-        num_gpms=config.num_gpms,
-        metric=args.metric,
-        samples=tuple(samples),
-    )
 
     print(f"{spec.abbr} on {config.label()}: V/f sweep ({args.metric})")
     header = (
@@ -471,7 +462,7 @@ def _dvfs_main(argv: list[str]) -> int:
     )
     print(header)
     best = spot.best
-    for sample in samples:
+    for sample in spot.samples:
         point = sample.point
         marker = " <- sweet spot" if sample is best else (
             "  (anchor)" if point.frequency_hz == anchor_hz else ""
@@ -489,6 +480,10 @@ def _dvfs_main(argv: list[str]) -> int:
         f" {args.metric} {best.score(args.metric) / anchor_score:.3f}x"
         f" the anchor's)"
     )
+
+    # The runs below simulate outside the sweep, sharing one trace.
+    if args.governed or args.cap_watts is not None or idle_config is not None:
+        workload = build_workload(spec)
 
     if args.governed:
         governor = UtilizationGovernor()
@@ -599,14 +594,12 @@ def _roofline_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.core.energy_model import EnergyModel, EnergyParams
     from repro.dvfs.operating_point import K40_VF_CURVE
     from repro.dvfs.selection import best_candidate
     from repro.dvfs.sweetspot import with_operating_point
-    from repro.gpu.simulator import simulate
     from repro.roofline.model import RooflinePredictor
 
-    spec, workload, config = _observed_pair(parser, args)
+    spec, config = _observed_pair(args)
     predictor = RooflinePredictor()
     points = K40_VF_CURVE.points
     predictions = {
@@ -635,32 +628,17 @@ def _roofline_main(argv: list[str]) -> int:
             )
         return 0
 
-    simulated = {}
-    for point in points:
-        pointed = with_operating_point(config, point)
-        result = simulate(workload, pointed)
-        params = EnergyParams.for_operating_point(pointed)
-        energy = EnergyModel(params).evaluate(result.counters, result.seconds)
-        simulated[point] = (result.seconds, energy.total)
-    scores = {
-        point: (
-            delay * energy if args.metric == "edp" else delay**2 * energy
-        )
-        for point, (delay, energy) in simulated.items()
-    }
-    simulated_best = best_candidate(
-        points,
-        score=lambda p: scores[p],
-        tie_key=lambda p: (p.frequency_hz, p.label()),
-    )
+    spot = _ladder_search(args.metric).search_one(spec, config)
+    simulated_best = spot.point
     print(
         f"  {'point':<10} {'MHz':>5} {'pred us':>9} {'sim us':>9}"
         f" {'derr%':>6} {'pred uJ':>9} {'sim uJ':>9} {'eerr%':>6}"
         f" {'bound':>8}"
     )
-    for point in points:
+    for sample in spot.samples:
+        point = sample.point
+        delay_s, energy_j = sample.delay_s, sample.energy_j
         pred = predictions[point]
-        delay_s, energy_j = simulated[point]
         markers = []
         if point is predicted_best:
             markers.append("predicted best")

@@ -30,7 +30,6 @@ from repro.gpu.config import GpuConfig
 from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # deferred: repro.roofline is an optional fast path
-    from repro.roofline.model import RooflinePredictor
     from repro.roofline.screen import ScreenDisposition
 
 #: Supported optimization metrics.
@@ -141,7 +140,6 @@ class SweetSpotSearch:
         screen: str | None = None,
         top_k: int = 3,
         guard: int = 1,
-        predictor: "RooflinePredictor | None" = None,
     ):
         if metric not in METRICS:
             raise ExperimentError(
@@ -162,19 +160,10 @@ class SweetSpotSearch:
         if screen is not None:
             from repro.roofline.screen import validate_screen
 
-            validate_screen(screen)
-            if top_k < 1:
-                raise ExperimentError(
-                    f"screen top-k must be >= 1, got {top_k}"
-                )
-            if guard < 0:
-                raise ExperimentError(
-                    f"screen guard must be >= 0, got {guard}"
-                )
+            validate_screen(screen, top_k, guard)
         self.screen = screen
         self.top_k = top_k
         self.guard = guard
-        self._predictor = predictor
 
     def _select_points(
         self, specs: list[WorkloadSpec], configs: list[GpuConfig]
@@ -193,7 +182,7 @@ class SweetSpotSearch:
         from repro.roofline.model import RooflinePredictor
         from repro.roofline.screen import screen_operating_points
 
-        predictor = self._predictor or RooflinePredictor()
+        predictor = RooflinePredictor()
         return {
             (config.label(), spec.abbr): screen_operating_points(
                 predictor,

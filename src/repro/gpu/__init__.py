@@ -11,7 +11,7 @@ from repro.gpu.config import (
     table_iii_config,
 )
 from repro.gpu.counters import CounterSet
-from repro.gpu.simulator import GpuSimulator, RunResult, simulate
+from repro.gpu.simulator import RunResult, simulate
 
 __all__ = [
     "BandwidthSetting",
@@ -23,7 +23,6 @@ __all__ = [
     "monolithic_config",
     "table_iii_config",
     "CounterSet",
-    "GpuSimulator",
     "RunResult",
     "simulate",
 ]

@@ -88,72 +88,6 @@ class RunResult:
         )
 
 
-class GpuSimulator:
-    """Reusable entry point binding a configuration to workload runs."""
-
-    def __init__(self, config: GpuConfig):
-        self.config = config
-
-    def run(
-        self,
-        workload: Workload,
-        max_events: int | None = None,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        governor: Governor | None = None,
-    ) -> RunResult:
-        """Simulate ``workload`` on a fresh GPU instance.
-
-        Every run builds a new :class:`MultiGpu`, so results are independent
-        and deterministic: identical (workload, config) pairs produce
-        identical counters.  Pass a :class:`~repro.trace.ChromeTracer` to
-        capture the run's event timeline and/or a
-        :class:`~repro.trace.MetricsRegistry` to collect component metrics;
-        both default to the no-op fast path.  A
-        :class:`~repro.dvfs.governor.Governor` re-points each GPM's core
-        V/f domain at kernel boundaries; explicitly-passed governors are
-        runtime behaviour and must not go through the sweep cache.
-
-        A configuration with ``power_cap_watts`` or ``idle`` set (and no
-        explicit governor) automatically attaches the governor those knobs
-        imply — a :class:`~repro.dvfs.governor.PowerCapGovernor` for the
-        budget, or the :mod:`repro.dvfs.idle` governor kind the idle config
-        selects — making the run a deterministic function of the
-        configuration, which is what lets it share the sweep cache (both
-        knobs join the cache fingerprint).
-        """
-        if governor is None and (
-            self.config.power_cap_watts is not None
-            or self.config.idle is not None
-        ):
-            curve = (
-                self.config.dvfs.curve
-                if self.config.dvfs is not None
-                else K40_VF_CURVE
-            )
-            governor = governor_for(
-                self.config.idle, self.config.power_cap_watts, curve
-            )
-        gpu = MultiGpu(
-            self.config, tracer=tracer, metrics=metrics, governor=governor
-        )
-        start = time.perf_counter()
-        counters = gpu.run(workload, max_events=max_events)
-        wall_time_s = time.perf_counter() - start
-        return RunResult(
-            workload_name=workload.name,
-            config_label=self.config.label(),
-            counters=counters,
-            kernel_stats=list(gpu.kernel_stats),
-            clock_hz=self.config.gpm.clock_hz,
-            metrics=gpu.engine.metrics,
-            events_processed=gpu.engine.events_processed,
-            wall_time_s=wall_time_s,
-            residency=gpu.residency(),
-            governor=governor,
-        )
-
-
 def simulate(
     workload: Workload,
     config: GpuConfig,
@@ -161,7 +95,43 @@ def simulate(
     metrics: MetricsRegistry | None = None,
     governor: Governor | None = None,
 ) -> RunResult:
-    """Convenience wrapper: simulate one workload on one configuration."""
-    return GpuSimulator(config).run(
-        workload, tracer=tracer, metrics=metrics, governor=governor
+    """Simulate ``workload`` on a fresh GPU instance built from ``config``.
+
+    Every call builds a new :class:`MultiGpu`, so results are independent
+    and deterministic: identical (workload, config) pairs produce identical
+    counters.  Pass a :class:`~repro.trace.ChromeTracer` to capture the
+    run's event timeline and/or a :class:`~repro.trace.MetricsRegistry` to
+    collect component metrics; both default to the no-op fast path.  A
+    :class:`~repro.dvfs.governor.Governor` re-points each GPM's core V/f
+    domain at kernel boundaries; explicitly-passed governors are runtime
+    behaviour and must not go through the sweep cache.
+
+    A configuration with ``power_cap_watts`` or ``idle`` set (and no
+    explicit governor) automatically attaches the governor those knobs
+    imply — a :class:`~repro.dvfs.governor.PowerCapGovernor` for the
+    budget, or the :mod:`repro.dvfs.idle` governor kind the idle config
+    selects — making the run a deterministic function of the configuration,
+    which is what lets it share the sweep cache (both knobs join the cache
+    fingerprint).
+    """
+    if governor is None and (
+        config.power_cap_watts is not None or config.idle is not None
+    ):
+        curve = config.dvfs.curve if config.dvfs is not None else K40_VF_CURVE
+        governor = governor_for(config.idle, config.power_cap_watts, curve)
+    gpu = MultiGpu(config, tracer=tracer, metrics=metrics, governor=governor)
+    start = time.perf_counter()
+    counters = gpu.run(workload)
+    wall_time_s = time.perf_counter() - start
+    return RunResult(
+        workload_name=workload.name,
+        config_label=config.label(),
+        counters=counters,
+        kernel_stats=list(gpu.kernel_stats),
+        clock_hz=config.gpm.clock_hz,
+        metrics=gpu.engine.metrics,
+        events_processed=gpu.engine.events_processed,
+        wall_time_s=wall_time_s,
+        residency=gpu.residency(),
+        governor=governor,
     )

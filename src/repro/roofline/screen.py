@@ -5,8 +5,8 @@ through the unmodified simulation path with the unmodified configurations,
 so every simulated result and every cache key is bit-identical to what the
 exhaustive sweep would have produced for the same points.  The only thing
 screening changes is which points get simulated at all — and the
-:class:`ScreenDisposition` records exactly that choice, so a manifest reader
-can tell a screened sweep's gaps from missing data.
+:class:`ScreenDisposition` records exactly that choice, so a study log
+reader can tell a screened sweep's gaps from missing data.
 
 Ranking goes through :mod:`repro.dvfs.selection`, the same deterministic
 tie-break the exact search uses, so "top-k plus guard" is well defined even
@@ -28,15 +28,22 @@ from repro.workloads.spec import WorkloadSpec
 SCREEN_MODES = ("roofline",)
 
 
-def validate_screen(screen: str | None) -> str | None:
-    """Normalize and validate a ``screen=`` argument (None passes through)."""
+def validate_screen(screen: str | None, top_k: int, guard: int) -> None:
+    """Validate a ``screen=`` argument and its ``top_k``/``guard`` knobs.
+
+    ``screen=None`` (an exact sweep) uses neither knob, so it passes
+    unchecked.
+    """
     if screen is None:
-        return None
+        return
     if screen not in SCREEN_MODES:
         raise ExperimentError(
             f"screen mode must be one of {SCREEN_MODES} or None, got {screen!r}"
         )
-    return screen
+    if top_k < 1:
+        raise ExperimentError(f"screen top-k must be >= 1, got {top_k}")
+    if guard < 0:
+        raise ExperimentError(f"screen guard must be >= 0, got {guard}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,7 @@ class ScreenDisposition:
             "guard": self.guard,
             "scored_points": self.scored_points,
             "simulated_points": self.simulated_points,
-            # Only present on fallback runs, so screened manifests written
-            # before this field existed parse (and serialize) identically.
+            # Only present on fallback runs.
             **({} if self.fallback is None else {"fallback": self.fallback}),
             "entries": [entry.to_json() for entry in self.entries],
         }
@@ -156,30 +162,19 @@ def screen_operating_points(
     metric: str = "edp",
     top_k: int = 3,
     guard: int = 1,
-    expand=None,
 ) -> tuple[tuple[OperatingPoint, ...], ScreenDisposition]:
     """Rank ``points`` analytically; select the top ``top_k + guard``.
 
     Returns the selected points in *grid order* (so the caller's simulation
     pairs enumerate identically to an exhaustive sweep restricted to those
-    points) plus the full ranked disposition.
-
-    ``expand`` maps a point to the pointed :class:`GpuConfig` that would be
-    simulated for it; it MUST be the same expansion the caller's exact path
-    uses, so the screened subset shares the exact path's cache keys.  The
-    default is :func:`~repro.dvfs.sweetspot.with_operating_point` on
-    ``domain`` (the sweet-spot search's expansion).
+    points) plus the full ranked disposition.  Each point is scored on
+    :func:`~repro.dvfs.sweetspot.with_operating_point` for ``domain``, the
+    expansion :class:`~repro.dvfs.sweetspot.SweetSpotSearch` simulates, so
+    the screened subset shares the exact search's cache keys.
     """
-    if expand is None:
-        from repro.dvfs.sweetspot import with_operating_point
+    from repro.dvfs.sweetspot import with_operating_point
 
-        def expand(point):
-            return with_operating_point(config, point, curve, domain=domain)
-
-    if top_k < 1:
-        raise ExperimentError(f"screen top-k must be >= 1, got {top_k}")
-    if guard < 0:
-        raise ExperimentError(f"screen guard must be >= 0, got {guard}")
+    validate_screen("roofline", top_k, guard)
 
     reason = screen_fallback_reason(spec, config)
     if reason is not None:
@@ -204,7 +199,10 @@ def screen_operating_points(
         return tuple(points), disposition
 
     predictions = {
-        point: predictor.predict(spec, expand(point)) for point in points
+        point: predictor.predict(
+            spec, with_operating_point(config, point, curve, domain=domain)
+        )
+        for point in points
     }
     budget = min(len(points), top_k + guard)
     ranked = top_candidates(

@@ -333,10 +333,10 @@ class SweepService:
             total_s=total_s,
             results_version=RESULTS_VERSION,
             spec_hash=spec_hash(request.spec),
-            screen=self._screen_note(request),
+            screen=self._screen_prediction(request),
         )
 
-    def _screen_note(self, request: JobRequest) -> dict | None:
+    def _screen_prediction(self, request: JobRequest) -> dict | None:
         """Roofline prediction for a ``screen=``-annotated request.
 
         Purely advisory manifest content — computed analytically (no engine

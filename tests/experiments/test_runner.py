@@ -307,34 +307,6 @@ class TestCacheKeyStability:
         assert cache_key(spec, plain) == self.PINNED[("Stream", 4)]
 
 
-class TestOperatingPointGrid:
-    def test_run_grid_expands_point_axis(self, runner):
-        from repro.dvfs.operating_point import K40_VF_CURVE
-
-        points = (K40_VF_CURVE.point_at(480.0e6), K40_VF_CURVE.anchor)
-        specs = [tiny_spec()]
-        configs = [table_iii_config(1), table_iii_config(2)]
-        grid = runner.run_grid(specs, configs, operating_points=points)
-        assert len(grid) == len(configs) * len(points)
-        assert sum(label.count("@core@") for label in grid) == 4
-        for label, row in grid.items():
-            assert set(row) == {"Tiny"}
-
-    def test_point_axis_slows_the_clock(self, runner):
-        from repro.dvfs.operating_point import K40_VF_CURVE
-
-        points = (K40_VF_CURVE.point_at(324.0e6), K40_VF_CURVE.anchor)
-        grid = runner.run_grid(
-            [tiny_spec()], [table_iii_config(1)], operating_points=points
-        )
-        by_point = {
-            label: row["Tiny"].seconds for label, row in grid.items()
-        }
-        slow = next(v for k, v in by_point.items() if "k40-324" in k)
-        fast = next(v for k, v in by_point.items() if "k40-boost" in k)
-        assert slow > fast
-
-
 class TestSerialization:
     def test_record_json_roundtrip(self):
         record = run_pair(tiny_spec(), table_iii_config(1))

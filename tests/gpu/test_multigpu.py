@@ -4,7 +4,7 @@ import pytest
 
 from repro.gpu.config import TopologyKind
 from repro.gpu.multigpu import MultiGpu
-from repro.gpu.simulator import GpuSimulator, simulate
+from repro.gpu.simulator import simulate
 from repro.interconnect.ring import RingTopology
 from repro.interconnect.switch import SwitchTopology
 
@@ -104,7 +104,7 @@ class TestSimulatorFacade:
         )
 
     def test_simulator_reusable(self):
-        simulator = GpuSimulator(small_config(num_gpms=2))
-        first = simulator.run(tiny_workload())
-        second = simulator.run(tiny_workload())
+        config = small_config(num_gpms=2)
+        first = simulate(tiny_workload(), config)
+        second = simulate(tiny_workload(), config)
         assert first.cycles == second.cycles

@@ -4,11 +4,9 @@ The screening contract is that it NEVER changes simulated results — only
 which grid points get simulated.  These tests pin that down end to end:
 screened sweeps hit the exact sweep's cache entries (same keys, same
 bytes), a screen wide enough to cover the grid reports the same winner as
-the exhaustive search, manifests record the disposition, and the results
-version the keys hash under stays pinned.
+the exhaustive search, dispositions survive a JSON round trip, and the
+results version the keys hash under stays pinned.
 """
-
-import json
 
 import pytest
 
@@ -126,36 +124,6 @@ class TestSweetSpotScreening:
             SweetSpotSearch(runner, screen="roofline", top_k=0)
         with pytest.raises(ExperimentError):
             SweetSpotSearch(runner, screen="roofline", guard=-1)
-
-
-class TestRunGridScreening:
-    def test_screened_grid_manifests_record_disposition(self, spec, tmp_path):
-        runner = make_runner(tmp_path)
-        records = runner.run_grid(
-            [spec],
-            [table_iii_config(1)],
-            operating_points=POINTS,
-            screen="roofline",
-            top_k=1,
-            guard=0,
-        )
-        assert len(records) == 1  # one simulated point out of three
-        manifests = [
-            json.loads(path.read_text())
-            for path in runner.settings.cache_dir.glob("*.manifest.json")
-        ]
-        assert len(manifests) == 1
-        note = manifests[0]["screen"]
-        assert note["mode"] == "roofline"
-        assert note["top_k"] == 1 and note["guard"] == 0
-        assert note["scored_points"] == len(POINTS)
-        assert note["predicted_rank"] == 0
-
-    def test_screened_grid_needs_an_axis(self, spec, tmp_path):
-        with pytest.raises(ExperimentError):
-            make_runner(tmp_path).run_grid(
-                [spec], [table_iii_config(1)], screen="roofline"
-            )
 
 
 class TestDispositionRoundTrip:

@@ -186,7 +186,6 @@ class TestByteIdentity:
             wall_time_s=0.5, events_processed=1234, events_per_sec=5e4,
             dvfs_residency=record.residency,
             per_gpm_energy=[{"gpm": 0, "joules": 1.5}, {"gpm": 1, "joules": 2.5}],
-            screen={"mode": "topk", "rank": 1},
         )
         want = dataclasses.asdict(manifest)
         assert json.dumps(manifest.to_json()) == json.dumps(want)

@@ -23,6 +23,20 @@ LAZY_STUDIES = (
 )
 
 
+def ladder_winner(abbr: str, gpms: int, metric: str = "edp") -> str:
+    """The K40-ladder sweet spot's label for the CLI's 16-CTA copy."""
+    from repro.dvfs.sweetspot import SweetSpotSearch
+    from repro.experiments.runner import SweepRunner, SweepSettings
+    from repro.gpu.config import table_iii_config
+    from repro.workloads.suite import shrunken_spec
+
+    runner = SweepRunner(SweepSettings(use_cache=False, processes=1))
+    spot = SweetSpotSearch(runner, metric=metric).search_one(
+        shrunken_spec(abbr, total_ctas=16), table_iii_config(gpms)
+    )
+    return spot.point.label()
+
+
 def study_modules_on_disk() -> set[str]:
     """Every module under repro/experiments that defines a study ``run``."""
     return {
@@ -105,6 +119,16 @@ class TestDvfsSubcommand:
         assert "k40-boost" in out and "(anchor)" in out
         assert "<- sweet spot" in out
         assert "sweet spot:" in out
+
+    def test_printed_spot_is_the_search_winner(self, capsys):
+        assert main(
+            ["dvfs", "BPROP", "--gpms", "1", "--ctas", "16",
+             "--metric", "ed2p"]
+        ) == 0
+        printed = re.search(
+            r"sweet spot: (\S+) ", capsys.readouterr().out
+        ).group(1)
+        assert printed == ladder_winner("BPROP", 1, metric="ed2p")
 
     def test_governed_flag_prints_decisions(self, capsys):
         assert main(
@@ -284,6 +308,40 @@ class TestUnifiedErrorHandling:
                 main([name, "--help"])
             assert excinfo.value.code == 0
             assert f"repro {name}" in capsys.readouterr().out
+
+
+class TestRooflineSubcommand:
+    ARGV = ["roofline", "Stream", "--gpms", "2", "--ctas", "16"]
+
+    def test_compares_prediction_with_simulation(self, capsys):
+        assert main(self.ARGV) == 0
+        out = capsys.readouterr().out
+        assert "roofline (edp)" in out and "sim us" in out
+        assert re.search(
+            r"^  predicted best \S+ (agrees with|differs from) simulated best"
+            r" \S+$",
+            out,
+            re.M,
+        )
+
+    def test_simulated_best_is_the_search_winner(self, capsys):
+        assert main(self.ARGV) == 0
+        printed = re.search(
+            r"simulated best (\S+)$", capsys.readouterr().out, re.M
+        ).group(1)
+        assert printed == ladder_winner("Stream", 2)
+
+    def test_predict_only_runs_no_simulation(self, capsys, monkeypatch):
+        import repro.gpu.simulator as simulator
+
+        def no_gpu(*args, **kwargs):
+            raise AssertionError("--predict-only simulated a run")
+
+        monkeypatch.setattr(simulator, "MultiGpu", no_gpu)
+        assert main(self.ARGV + ["--predict-only"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("<- predicted best") == 1
+        assert "sim us" not in out and "simulated best" not in out
 
 
 class TestProfileSubcommand:

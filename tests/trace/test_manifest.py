@@ -66,3 +66,13 @@ class TestRunManifest:
         restored = RunManifest.from_json(data)
         assert restored.events_processed == 0
         assert restored.events_per_sec == 0.0
+
+    def test_manifests_with_a_screen_note_still_load(self):
+        # Manifests written while screened sweeps recorded a per-run
+        # ``screen`` note carry a key the manifest no longer has.
+        manifest = _manifest()
+        data = manifest.to_json()
+        data["screen"] = {"mode": "roofline", "predicted_rank": 0}
+        restored = RunManifest.from_json(data)
+        assert restored == manifest
+        assert "screen" not in restored.to_json()
