@@ -23,6 +23,7 @@ from repro.gpu.config import GpuConfig
 from repro.gpu.counters import CounterSet
 from repro.gpu.multigpu import KernelStats, MultiGpu
 from repro.isa.kernel import Workload
+from repro.sim.collector import collector_paused
 from repro.trace.metrics import MetricsRegistry
 from repro.trace.tracer import Tracer
 from repro.units import cycles_to_seconds
@@ -113,16 +114,23 @@ def simulate(
     selects — making the run a deterministic function of the configuration,
     which is what lets it share the sweep cache (both knobs join the cache
     fingerprint).
+
+    The cyclic garbage collector is paused while the GPU is built and run
+    (:func:`~repro.sim.collector.collector_paused`): a simulation creates
+    no reference cycles, so reference counting frees everything it
+    allocates, and the collections its allocations would trigger find
+    nothing to free.
     """
     if governor is None and (
         config.power_cap_watts is not None or config.idle is not None
     ):
         curve = config.dvfs.curve if config.dvfs is not None else K40_VF_CURVE
         governor = governor_for(config.idle, config.power_cap_watts, curve)
-    gpu = MultiGpu(config, tracer=tracer, metrics=metrics, governor=governor)
-    start = time.perf_counter()
-    counters = gpu.run(workload)
-    wall_time_s = time.perf_counter() - start
+    with collector_paused():
+        gpu = MultiGpu(config, tracer=tracer, metrics=metrics, governor=governor)
+        start = time.perf_counter()
+        counters = gpu.run(workload)
+        wall_time_s = time.perf_counter() - start
     return RunResult(
         workload_name=workload.name,
         config_label=config.label(),

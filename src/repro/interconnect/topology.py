@@ -23,7 +23,7 @@ in place in that method's loop, with the arithmetic of
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable
+import weakref
 from dataclasses import dataclass
 
 from repro.errors import ConfigError, SimulationError
@@ -52,19 +52,21 @@ class Route:
 class RouteTable(dict):
     """``(src, dst) -> Route``, each entry built on its first lookup.
 
-    A lookup that hits is a plain dictionary subscript.  Endpoints that
-    ``build`` rejects raise before anything is stored, so they raise on
-    every lookup.
+    A lookup that hits is a plain dictionary subscript.  Endpoints that the
+    topology rejects raise before anything is stored, so they raise on
+    every lookup.  The table reaches its topology through a weak reference:
+    the topology owns the table, and a strong reference back would make
+    every topology a reference cycle that only the cyclic collector frees.
     """
 
-    __slots__ = ("_build",)
+    __slots__ = ("_topology",)
 
-    def __init__(self, build: Callable[[int, int], Route]):
+    def __init__(self, topology: "Topology"):
         super().__init__()
-        self._build = build
+        self._topology = weakref.ref(topology)
 
     def __missing__(self, key: tuple[int, int]) -> Route:
-        route = self[key] = self._build(*key)
+        route = self[key] = self._topology()._build_route(*key)
         return route
 
 
@@ -87,7 +89,7 @@ class Topology(abc.ABC):
             )
         self.num_gpms = num_gpms
         self.traffic = TrafficCounters()
-        self.routes = RouteTable(self._build_route)
+        self.routes = RouteTable(self)
         # Bound with the first route (links carry the engine; the topology
         # itself is constructed before it has one).
         self._engine = None

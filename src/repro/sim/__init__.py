@@ -9,8 +9,11 @@ kernel:
 * :mod:`~repro.sim.resources` — analytic FCFS bandwidth servers and latency
   stations used for SM issue slots, DRAM channels, and interconnect links.
 * :mod:`~repro.sim.stats` — lightweight online statistics used by counters.
+* :func:`~repro.sim.collector.collector_paused` — keeps Python's cyclic
+  garbage collector off while a simulation runs.
 """
 
+from repro.sim.collector import collector_paused
 from repro.sim.engine import AllOf, Engine, Event, Process, Timeout
 from repro.sim.resources import BandwidthServer, LatencyStation, ThroughputServer
 from repro.sim.stats import Accumulator, Histogram, UtilizationTracker
@@ -27,4 +30,5 @@ __all__ = [
     "Accumulator",
     "Histogram",
     "UtilizationTracker",
+    "collector_paused",
 ]

@@ -1,29 +1,32 @@
-"""A finished run is freed by reference counting, not by a full GC.
+"""A simulation creates no reference cycles.
 
-Each GPM memory reaches every peer memory while a run is in flight.  If
-that wiring outlived the run, every finished GPU would be one reference
-cycle through all of its caches, and back-to-back runs of one trace would
-stack that garbage until a full collection.
+:func:`~repro.gpu.simulator.simulate` pauses the cyclic garbage collector
+for the whole run (:mod:`repro.sim.collector`).  That defers no memory only
+while reference counting alone frees everything a simulation allocates, so
+a collection right after a finished run must find nothing: not the
+GPM memories that list their peers while a run is in flight, not a
+topology and its route table, not a governor's or idle driver's state.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.dvfs.idle import IdleConfig
 from repro.gpu.config import TopologyKind, table_iii_config
 from repro.gpu.simulator import simulate
-from repro.memory.cache import Cache
-from repro.memory.hierarchy import GpmMemory
+from repro.interconnect.compression import CompressionConfig
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import shrunken_spec
 
 
-@pytest.mark.parametrize("topology", [TopologyKind.RING, TopologyKind.SWITCH])
-def test_finished_run_leaves_no_memory_in_cycles(topology):
+def garbage_after_one_run(config) -> Counter:
+    """Types of what a full collection finds after one ``simulate()``."""
     workload = build_workload(shrunken_spec("Stream", 32))
-    config = table_iii_config(4, topology=topology)
     gc.collect()
     flags = gc.get_debug()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -32,12 +35,29 @@ def test_finished_run_leaves_no_memory_in_cycles(topology):
         assert result.counters.inter_gpm_bytes > 0
         del result
         gc.collect()
-        leaked = [
-            type(obj).__name__
-            for obj in gc.garbage
-            if isinstance(obj, (GpmMemory, Cache))
-        ]
+        return Counter(type(obj).__name__ for obj in gc.garbage)
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
-    assert leaked == []
+
+
+@pytest.mark.parametrize(
+    "topology", [TopologyKind.RING, TopologyKind.SWITCH, TopologyKind.MESH]
+)
+def test_finished_run_leaves_no_memory_in_cycles(topology):
+    config = table_iii_config(4, topology=topology)
+    assert garbage_after_one_run(config) == Counter()
+
+
+def test_compressed_topology_leaves_no_cycles():
+    config = replace(
+        table_iii_config(4), compression=CompressionConfig(data_ratio=2.0)
+    )
+    assert garbage_after_one_run(config) == Counter()
+
+
+def test_idle_gated_governed_run_leaves_no_cycles():
+    config = replace(
+        table_iii_config(4), idle=IdleConfig(governor="race-to-idle")
+    )
+    assert garbage_after_one_run(config) == Counter()
