@@ -66,19 +66,34 @@ class Gpm:
             counters=counters,
             latencies=self._scaled_latencies(scales.core_freq),
         )
-        self.sms = [
-            SmCore(
-                engine=engine,
-                sm_id=gpm_id * config.num_sms + local,
-                gpm_id=gpm_id,
+        #: SMs by local index, each built when a CTA slot is first taken on
+        #: it (:meth:`sm`); ``None`` for an SM that has run nothing yet.
+        self.sms: list[SmCore | None] = [None] * config.num_sms
+        self.scheduler = CtaSlotScheduler(
+            engine, config.num_sms, config.slots_per_sm
+        )
+
+    def sm(self, local: int) -> SmCore:
+        """SM ``local`` of this module, built on first use.
+
+        A scaled-down grid leaves most SMs without a CTA, so building only
+        the ones that get one keeps an idle SM from costing anything but
+        its ``None`` entry.  A new SM issues at the module's current core
+        rate, the rate :meth:`apply_core_point` gives every built SM.
+        """
+        sm = self.sms[local]
+        if sm is None:
+            config = self.config
+            sm = self.sms[local] = SmCore(
+                engine=self.engine,
+                sm_id=self.gpm_id * config.num_sms + local,
+                gpm_id=self.gpm_id,
                 local_index=local,
-                issue_rate=config.issue_rate * scales.core_freq,
+                issue_rate=config.issue_rate * self.core_scale,
                 memory=self.memory,
-                counters=counters,
+                counters=self.counters,
             )
-            for local in range(config.num_sms)
-        ]
-        self.scheduler = CtaSlotScheduler(self.sms, config.slots_per_sm)
+        return sm
 
     def _scaled_latencies(self, core_ratio: float) -> HierarchyLatencies:
         """Fixed core-cycle pipeline depths expressed in anchor cycles."""
@@ -102,7 +117,8 @@ class Gpm:
         ratio = curve.frequency_ratio(point)
         self.core_scale = ratio
         for sm in self.sms:
-            sm.issue.rate = self.config.issue_rate * ratio
+            if sm is not None:
+                sm.issue.rate = self.config.issue_rate * ratio
         self.memory.latencies = self._scaled_latencies(ratio)
 
     def run_kernel(self, kernel: Kernel, cta_ids: list[int]) -> Generator:
@@ -110,15 +126,20 @@ class Gpm:
         if not cta_ids:
             return
             yield  # pragma: no cover - keeps this a generator for empty shares
-        yield from self.scheduler.run_kernel(kernel, cta_ids)
+        yield from self.scheduler.run_kernel(kernel, cta_ids, self.sm)
 
     def busy_cycles(self) -> float:
-        """Summed SM issue-stage busy cycles."""
-        return sum(sm.busy_cycles() for sm in self.sms)
+        """Summed SM issue-stage busy cycles, in SM order; an SM not yet
+        built was never busy."""
+        return sum(0.0 if sm is None else sm.busy_cycles() for sm in self.sms)
 
     def idle_cycles(self, elapsed: float) -> float:
-        """Summed SM issue-stage idle cycles over an elapsed window."""
-        return sum(sm.idle_cycles(elapsed) for sm in self.sms)
+        """Summed SM issue-stage idle cycles over an elapsed window, in SM
+        order; an SM not yet built idled for all of it."""
+        return sum(
+            elapsed if sm is None else sm.idle_cycles(elapsed)
+            for sm in self.sms
+        )
 
     def __repr__(self) -> str:
         return f"Gpm(id={self.gpm_id}, sms={self.config.num_sms})"

@@ -87,19 +87,11 @@ class GpmMemory:
         self.engine = engine
         self.gpm_id = gpm_id
         self.latencies = latencies or HierarchyLatencies()
-        self.l1s = [
-            Cache(
-                CacheConfig(
-                    capacity_bytes=l1_config.capacity_bytes,
-                    line_bytes=l1_config.line_bytes,
-                    associativity=l1_config.associativity,
-                    write_allocate=False,
-                    write_back=False,
-                    name=f"gpm{gpm_id}.l1.{sm}",
-                )
-            )
-            for sm in range(num_sms)
-        ]
+        self._l1_config = l1_config
+        #: Per-SM L1s by local SM index, each built on that SM's first
+        #: access (:meth:`l1`); ``None`` for an SM that has not accessed
+        #: memory yet.
+        self.l1s: list[Cache | None] = [None] * num_sms
         self.l2 = Cache(
             CacheConfig(
                 capacity_bytes=l2_config.capacity_bytes,
@@ -129,6 +121,24 @@ class GpmMemory:
         # Wired by MultiGpu after all GPMs exist:
         self.topology: Topology | None = None
         self.peers: list["GpmMemory"] = []
+
+    def l1(self, sm_index: int) -> Cache:
+        """SM ``sm_index``'s L1 (write-through, no-write-allocate), built
+        on first use."""
+        l1 = self.l1s[sm_index]
+        if l1 is None:
+            l1_config = self._l1_config
+            l1 = self.l1s[sm_index] = Cache(
+                CacheConfig(
+                    capacity_bytes=l1_config.capacity_bytes,
+                    line_bytes=l1_config.line_bytes,
+                    associativity=l1_config.associativity,
+                    write_allocate=False,
+                    write_back=False,
+                    name=f"gpm{self.gpm_id}.l1.{sm_index}",
+                )
+            )
+        return l1
 
     # ------------------------------------------------------------------ access
 
@@ -166,6 +176,8 @@ class GpmMemory:
         page_homes = placement._homes
         page_shift = placement._page_shift
         l1 = self.l1s[sm_index]
+        if l1 is None:
+            l1 = self.l1(sm_index)
         l2 = self.l2
         trace = self._trace
         # Enum member lookups go through a descriptor: resolve once per call.

@@ -15,19 +15,20 @@ placement localizes each partition's pages.
 Slots take their first CTA in (SM, slot) order before any warp runs, so a
 share smaller than the GPM's ``num_sms * slots_per_sm`` slots fills SM 0's
 slots first, then SM 1's, and leaves the rest idle.  Only the slots that get
-a CTA are started as processes.
+a CTA are started as processes, and the GPM builds an SM only when one of
+its slots is started.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.isa.kernel import Kernel
-from repro.sim.engine import AllOf
+from repro.sim.engine import AllOf, Engine
 from repro.sm.warp import WarpContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,35 +38,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class CtaSlotScheduler:
     """Runs a GPM's CTA queue across that GPM's SMs for one kernel."""
 
-    def __init__(self, sms: list["SmCore"], slots_per_sm: int):
-        if not sms:
+    def __init__(self, engine: Engine, num_sms: int, slots_per_sm: int):
+        if num_sms <= 0:
             raise ConfigError("scheduler needs at least one SM")
         if slots_per_sm <= 0:
             raise ConfigError(f"slots_per_sm must be positive, got {slots_per_sm}")
-        self.sms = sms
+        self.engine = engine
+        self.num_sms = num_sms
         self.slots_per_sm = slots_per_sm
         self.ctas_started = 0
         self.ctas_finished = 0
 
-    def run_kernel(self, kernel: Kernel, cta_ids: list[int]) -> Generator:
+    def run_kernel(
+        self,
+        kernel: Kernel,
+        cta_ids: list[int],
+        sm_at: Callable[[int], "SmCore"],
+    ) -> Generator:
         """Process generator: execute ``cta_ids`` of ``kernel``; returns when done.
 
         This is itself run as a process by the GPM; it spawns one process per
         (SM, slot) pair that gets a CTA and waits for all of them.  Each slot
         takes its first CTA before any warp runs, so those are the first
         ``len(cta_ids)`` pairs in (SM, slot) order; any other slot would find
-        the queue empty on its first step.
+        the queue empty on its first step.  ``sm_at`` maps a local SM index
+        to that SM, building it if need be; it is an argument rather than
+        state so that the scheduler holds no reference back to its GPM.
         """
         queue: deque[int] = deque(cta_ids)
-        engine = self.sms[0].engine
-        slots = ((sm, slot) for sm in self.sms for slot in range(self.slots_per_sm))
-        slot_processes = [
-            engine.process(
-                self._slot_body(sm, slot, kernel, queue),
-                name=f"sm{sm.sm_id}.slot{slot}",
+        engine = self.engine
+        slots = (
+            (local, slot)
+            for local in range(self.num_sms)
+            for slot in range(self.slots_per_sm)
+        )
+        slot_processes = []
+        for local, slot in islice(slots, len(queue)):
+            sm = sm_at(local)
+            slot_processes.append(
+                engine.process(
+                    self._slot_body(sm, slot, kernel, queue),
+                    name=f"sm{sm.sm_id}.slot{slot}",
+                )
             )
-            for sm, slot in islice(slots, len(queue))
-        ]
         yield AllOf([process.done for process in slot_processes])
 
     def _slot_body(

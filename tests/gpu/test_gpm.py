@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dvfs.operating_point import K40_VF_CURVE
 from repro.gpu.config import GpmConfig
 from repro.gpu.counters import CounterSet
 from repro.gpu.gpm import Gpm
@@ -30,14 +31,50 @@ class TestAssembly:
         assert len(gpm.sms) == 4
         assert len(gpm.memory.l1s) == 4
         # Global SM ids are offset by the GPM's position.
-        assert [sm.sm_id for sm in gpm.sms] == [8, 9, 10, 11]
+        assert [gpm.sm(local).sm_id for local in range(4)] == [8, 9, 10, 11]
         assert all(sm.gpm_id == 2 for sm in gpm.sms)
+
+    def test_sms_and_l1s_are_built_on_first_use(self):
+        engine = Engine()
+        gpm = Gpm(engine, 0, GpmConfig(num_sms=4, slots_per_sm=2),
+                  PagePlacement(num_gpms=1), CounterSet())
+        gpm.memory.connect(None, [gpm.memory])
+        assert gpm.sms == [None] * 4
+        assert gpm.memory.l1s == [None] * 4
+        # Three CTAs take SM 0's two slots and one of SM 1's.
+        kernel = Kernel("k", num_ctas=3, warps_per_cta=1,
+                        program_factory=memory_factory)
+        engine.process(gpm.run_kernel(kernel, [0, 1, 2]))
+        engine.run()
+        assert [sm is not None for sm in gpm.sms] == [True, True, False, False]
+        assert [l1 is not None for l1 in gpm.memory.l1s] == [
+            True, True, False, False
+        ]
+        elapsed = engine.now
+        assert gpm.busy_cycles() == gpm.sms[0].busy_cycles() + gpm.sms[1].busy_cycles()
+        assert gpm.idle_cycles(elapsed) == (
+            gpm.sms[0].idle_cycles(elapsed) + gpm.sms[1].idle_cycles(elapsed)
+            + elapsed + elapsed
+        )
+
+    def test_late_sm_issues_at_the_current_core_rate(self):
+        engine = Engine()
+        config = GpmConfig(num_sms=2)
+        gpm = Gpm(engine, 0, config, PagePlacement(num_gpms=1), CounterSet())
+        early = gpm.sm(0)
+        point = K40_VF_CURVE.points[0]
+        gpm.apply_core_point(point, K40_VF_CURVE)
+        late = gpm.sm(1)
+        assert late.issue.rate == early.issue.rate
+        assert late.issue.rate == (
+            config.issue_rate * K40_VF_CURVE.frequency_ratio(point)
+        )
 
     def test_l1_and_l2_geometry(self):
         engine = Engine()
         config = GpmConfig(num_sms=2)
         gpm = Gpm(engine, 0, config, PagePlacement(num_gpms=1), CounterSet())
-        assert gpm.memory.l1s[0].config.capacity_bytes == 32 * 1024
+        assert gpm.memory.l1(0).config.capacity_bytes == 32 * 1024
         assert gpm.memory.l2.config.capacity_bytes == 2 * 1024 * 1024
         assert gpm.memory.l2.config.write_back
 

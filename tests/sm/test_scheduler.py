@@ -58,7 +58,7 @@ class TestScheduling:
         assert gpm.scheduler.ctas_started == 0
         assert engine.now == 0.0
         # The scheduler itself starts no slot for an empty queue either.
-        engine.process(gpm.scheduler.run_kernel(kernel, []))
+        engine.process(gpm.scheduler.run_kernel(kernel, [], gpm.sm))
         engine.run()
         assert engine.events_processed == 3
         assert engine.now == 0.0
@@ -79,7 +79,8 @@ class TestScheduling:
             if event["tid"] == engine_tid and ".slot" in event["name"]
         ]
         assert sorted(slot_spans) == ["sm0.slot0", "sm0.slot1", "sm0.slot2"]
-        assert [sm.ctas_retired for sm in gpm.sms] == [3, 0]
+        assert gpm.sms[0].ctas_retired == 3
+        assert gpm.sms[1] is None  # never built
         assert gpm.scheduler.ctas_finished == 3
 
     def test_slots_bound_concurrency(self):
@@ -100,11 +101,10 @@ class TestScheduling:
 
     def test_validation(self):
         engine = Engine()
-        gpm = build_gpm(engine)
         with pytest.raises(ConfigError):
-            CtaSlotScheduler([], slots_per_sm=2)
+            CtaSlotScheduler(engine, 0, slots_per_sm=2)
         with pytest.raises(ConfigError):
-            CtaSlotScheduler(gpm.sms, slots_per_sm=0)
+            CtaSlotScheduler(engine, 2, slots_per_sm=0)
 
 
 class TestGpmAccounting:
