@@ -114,6 +114,10 @@ class VfCurve:
                 f" ({self.anchor_frequency_hz / 1e6:g} MHz), found"
                 f" {len(anchors)}"
             )
+        # Every ratio divides by the anchor, so it is found once here.  It
+        # is an attribute, not a field: fingerprints and cache keys walk
+        # the fields.
+        object.__setattr__(self, "_anchor", anchors[0])
 
     @staticmethod
     def _matches(a: float, b: float) -> bool:
@@ -124,10 +128,7 @@ class VfCurve:
     @property
     def anchor(self) -> OperatingPoint:
         """The fixed-clock baseline point (K40 boost by default)."""
-        for point in self.points:
-            if self._matches(point.frequency_hz, self.anchor_frequency_hz):
-                return point
-        raise ConfigError("validated curve lost its anchor")  # pragma: no cover
+        return self._anchor
 
     @property
     def min_frequency_hz(self) -> float:

@@ -58,15 +58,6 @@ class ScreenEntry:
     #: True when the screen selected this candidate for simulation.
     simulated: bool
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "frequency_hz": self.frequency_hz,
-            "predicted_score": self.predicted_score,
-            "bound": self.bound,
-            "simulated": self.simulated,
-        }
-
 
 @dataclass(frozen=True)
 class ScreenDisposition:
@@ -101,39 +92,6 @@ class ScreenDisposition:
     @property
     def skipped_points(self) -> int:
         return self.scored_points - self.simulated_points
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "metric": self.metric,
-            "top_k": self.top_k,
-            "guard": self.guard,
-            "scored_points": self.scored_points,
-            "simulated_points": self.simulated_points,
-            # Only present on fallback runs.
-            **({} if self.fallback is None else {"fallback": self.fallback}),
-            "entries": [entry.to_json() for entry in self.entries],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ScreenDisposition":
-        return cls(
-            mode=data["mode"],
-            metric=data["metric"],
-            top_k=data["top_k"],
-            guard=data["guard"],
-            fallback=data.get("fallback"),
-            entries=tuple(
-                ScreenEntry(
-                    label=entry["label"],
-                    frequency_hz=entry["frequency_hz"],
-                    predicted_score=entry["predicted_score"],
-                    bound=entry.get("bound", ""),
-                    simulated=entry["simulated"],
-                )
-                for entry in data["entries"]
-            ),
-        )
 
 
 def screen_fallback_reason(spec: WorkloadSpec, config: GpuConfig) -> str | None:

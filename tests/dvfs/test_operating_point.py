@@ -1,5 +1,7 @@
 """Operating points and V/f curve validation, lookup, and stepping."""
 
+import dataclasses
+
 import pytest
 
 from repro.dvfs.operating_point import (
@@ -54,6 +56,21 @@ class TestCurveValidation:
         assert K40_VF_CURVE.anchor is K40_OPERATING_POINT
         assert K40_OPERATING_POINT.frequency_hz == DEFAULT_CLOCK_HZ
         assert K40_OPERATING_POINT.name == "k40-boost"
+
+    def test_anchor_is_found_once_and_is_not_a_field(self, monkeypatch):
+        built = curve((300e6, 0.8), (DEFAULT_CLOCK_HZ, 1.0), (900e6, 1.1))
+        assert dataclasses.replace(built).anchor is built.points[1]
+        assert [f.name for f in dataclasses.fields(built)] == [
+            "points", "anchor_frequency_hz"
+        ]
+
+        def no_scan(*_args):
+            pytest.fail("the anchor was searched for again")
+
+        monkeypatch.setattr(VfCurve, "_matches", staticmethod(no_scan))
+        assert built.anchor is built.points[1]
+        assert built.frequency_ratio(built.points[2]) == 900e6 / DEFAULT_CLOCK_HZ
+        assert built.voltage_ratio(built.points[0]) == 0.8 / 1.0
 
 
 class TestLookup:

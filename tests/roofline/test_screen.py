@@ -4,8 +4,8 @@ The screening contract is that it NEVER changes simulated results — only
 which grid points get simulated.  These tests pin that down end to end:
 screened sweeps hit the exact sweep's cache entries (same keys, same
 bytes), a screen wide enough to cover the grid reports the same winner as
-the exhaustive search, dispositions survive a JSON round trip, and the
-results version the keys hash under stays pinned.
+the exhaustive search, and the results version the keys hash under
+stays pinned.
 """
 
 import pytest
@@ -15,8 +15,6 @@ from repro.dvfs.sweetspot import SweetSpotSearch, with_operating_point
 from repro.errors import ExperimentError
 from repro.experiments.runner import SweepRunner, SweepSettings
 from repro.gpu.config import table_iii_config
-from repro.roofline import RooflinePredictor
-from repro.roofline.screen import ScreenDisposition, screen_operating_points
 from repro.service.keys import RESULTS_VERSION, cache_key
 from repro.workloads.suite import shrunken_spec
 
@@ -124,19 +122,3 @@ class TestSweetSpotScreening:
             SweetSpotSearch(runner, screen="roofline", top_k=0)
         with pytest.raises(ExperimentError):
             SweetSpotSearch(runner, screen="roofline", guard=-1)
-
-
-class TestDispositionRoundTrip:
-    def test_to_from_json(self, spec):
-        _, disposition = screen_operating_points(
-            RooflinePredictor(),
-            spec,
-            table_iii_config(2),
-            POINTS,
-            top_k=1,
-            guard=1,
-        )
-        restored = ScreenDisposition.from_json(disposition.to_json())
-        assert restored == disposition
-        assert restored.simulated_points == 2
-        assert restored.skipped_points == 1
