@@ -13,7 +13,6 @@ kernel:
   garbage collector off while a simulation runs.
 """
 
-from repro.sim.collector import collector_paused
 from repro.sim.engine import AllOf, Engine, Event, Process, Timeout
 from repro.sim.resources import BandwidthServer, LatencyStation, ThroughputServer
 from repro.sim.stats import Accumulator, Histogram, UtilizationTracker
@@ -30,5 +29,4 @@ __all__ = [
     "Accumulator",
     "Histogram",
     "UtilizationTracker",
-    "collector_paused",
 ]

@@ -2,9 +2,9 @@
 
 A simulation allocates hundreds of thousands of short-lived objects, and
 every allocation counts toward the collector's generation thresholds.  Each
-collection it triggers rescans the objects that survived earlier ones --
+collection it triggers rescans the objects that survived earlier ones —
 the GPU under construction, the trace, and everything the interpreter holds
-after import -- and finds almost nothing to free.  Reference counting frees
+after import — and finds almost nothing to free.  Reference counting frees
 what a simulation allocates, because a simulation creates no reference
 cycles (``tests/gpu/test_run_cycles.py`` pins that), so pausing the
 collector for the run defers no memory.

@@ -24,8 +24,29 @@ from repro.workloads.generator import build_workload
 from repro.workloads.suite import shrunken_spec
 
 
-def garbage_after_one_run(config) -> Counter:
-    """Types of what a full collection finds after one ``simulate()``."""
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(table_iii_config(4, topology=kind), id=str(kind))
+        for kind in (TopologyKind.RING, TopologyKind.SWITCH, TopologyKind.MESH)
+    ]
+    + [
+        pytest.param(
+            replace(
+                table_iii_config(4),
+                compression=CompressionConfig(data_ratio=2.0),
+            ),
+            id="compressed",
+        ),
+        pytest.param(
+            replace(
+                table_iii_config(4), idle=IdleConfig(governor="race-to-idle")
+            ),
+            id="idle-governed",
+        ),
+    ],
+)
+def test_finished_run_leaves_no_memory_in_cycles(config):
     workload = build_workload(shrunken_spec("Stream", 32))
     gc.collect()
     flags = gc.get_debug()
@@ -35,29 +56,8 @@ def garbage_after_one_run(config) -> Counter:
         assert result.counters.inter_gpm_bytes > 0
         del result
         gc.collect()
-        return Counter(type(obj).__name__ for obj in gc.garbage)
+        garbage = Counter(type(obj).__name__ for obj in gc.garbage)
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
-
-
-@pytest.mark.parametrize(
-    "topology", [TopologyKind.RING, TopologyKind.SWITCH, TopologyKind.MESH]
-)
-def test_finished_run_leaves_no_memory_in_cycles(topology):
-    config = table_iii_config(4, topology=topology)
-    assert garbage_after_one_run(config) == Counter()
-
-
-def test_compressed_topology_leaves_no_cycles():
-    config = replace(
-        table_iii_config(4), compression=CompressionConfig(data_ratio=2.0)
-    )
-    assert garbage_after_one_run(config) == Counter()
-
-
-def test_idle_gated_governed_run_leaves_no_cycles():
-    config = replace(
-        table_iii_config(4), idle=IdleConfig(governor="race-to-idle")
-    )
-    assert garbage_after_one_run(config) == Counter()
+    assert garbage == Counter()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 
 import pytest
@@ -123,7 +124,36 @@ def test_overlapping_pauses_in_two_threads(collector_on):
     b_may_leave.set()
     for thread in threads:
         thread.join(5)
+    assert not any(thread.is_alive() for thread in threads)
     assert states == {"main, B inside": False, "after A left": False}
+    assert gc.isenabled()
+
+
+def test_many_threads_never_lose_a_pause(collector_on):
+    """More threads than cores enter and leave nested pauses with a tiny
+    switch interval.  A lost update to the shared depth would turn the
+    collector on while a pause is held, or leave it off after the last."""
+    errors = []
+
+    def worker():
+        for _ in range(500):
+            with collector_paused():
+                with collector_paused():
+                    if gc.isenabled():
+                        errors.append("collector on inside a pause")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
     assert gc.isenabled()
 
 
