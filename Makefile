@@ -78,13 +78,18 @@ roofline-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/roofline -q
 
 # Idle-subsystem wall: the differential idle-off bit-identity suite, the
-# Hypothesis property wall for sleep states and governors, and
-# tests/experiments/test_idle_study.py, which asserts the race-to-idle win
-# on the bursty workload and loss on the steady one; then the idle study's
-# quick tier, whose summary prints both directions (see docs/POWER.md).
+# Hypothesis property wall for sleep states and governors, the governor
+# policies themselves (utilization, power cap) and the residency pricing of
+# config-chosen governors, and tests/experiments/test_idle_study.py, which
+# asserts the race-to-idle win on the bursty workload and loss on the
+# steady one; then the idle study's quick tier, whose summary prints both
+# directions (see docs/POWER.md).
 idle-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/test_idle_identity.py \
-	  tests/dvfs/test_idle_properties.py tests/experiments/test_idle_study.py -q
+	  tests/dvfs/test_idle_properties.py tests/dvfs/test_governor.py \
+	  tests/dvfs/test_powercap.py \
+	  tests/property/test_residency_pricing_props.py \
+	  tests/experiments/test_idle_study.py -q
 	PYTHONPATH=src $(PYTHON) -m repro figures --only idle_study --quick
 
 examples:

@@ -234,7 +234,7 @@ def _check_deadline_feasible(args, spec, config) -> None:
 
 def _print_sleep_residency(residency) -> None:
     """Per-GPM gated-cycle lines for a run that actually slept."""
-    if residency is None or residency.total_sleep_cycles <= 0.0:
+    if residency.total_sleep_cycles <= 0.0:
         return
     print("  per-GPM sleep residency:")
     for gpm_id, hist in enumerate(residency.core):
@@ -388,8 +388,10 @@ def _profile_main(argv: list[str]) -> int:
 
 def _dvfs_main(argv: list[str]) -> int:
     """``repro dvfs``: sweep one workload over the V/f ladder."""
+    import dataclasses
+
     from repro.core.energy_model import EnergyModel, EnergyParams
-    from repro.dvfs.governor import UtilizationGovernor
+    from repro.dvfs.idle import IdleConfig, governor_for
     from repro.dvfs.operating_point import K40_VF_CURVE
     from repro.dvfs.sweetspot import METRICS
     from repro.gpu.simulator import simulate
@@ -435,8 +437,6 @@ def _dvfs_main(argv: list[str]) -> int:
     idle = _idle_config_from_args(args, config)
     idle_config = None
     if idle is not None:
-        import dataclasses
-
         _check_deadline_feasible(args, spec, config)
         idle_config = dataclasses.replace(
             config, idle=idle, power_cap_watts=args.cap_watts
@@ -446,12 +446,10 @@ def _dvfs_main(argv: list[str]) -> int:
         # subcommand guard) instead of tracebacking after the (expensive)
         # ladder sweep.  Same feasibility check the sweep service runs at
         # admission (repro.service.admission.validate_request).
-        from repro.dvfs.governor import PowerCapGovernor
-
-        curve = config.dvfs.curve if config.dvfs is not None else K40_VF_CURVE
-        PowerCapGovernor(
-            curve=curve, cap_watts=args.cap_watts
-        ).initial_points(config.num_gpms)
+        capped_config = dataclasses.replace(
+            config, power_cap_watts=args.cap_watts
+        )
+        governor_for(capped_config).initial_points(config.num_gpms)
     spot = _ladder_search(args.metric).search_one(spec, config)
     anchor_hz = K40_VF_CURVE.anchor.frequency_hz
 
@@ -486,14 +484,19 @@ def _dvfs_main(argv: list[str]) -> int:
         workload = build_workload(spec)
 
     if args.governed:
-        governor = UtilizationGovernor()
-        result = simulate(workload, config, governor=governor)
+        result = simulate(
+            workload,
+            dataclasses.replace(
+                config, idle=IdleConfig.governor_only("utilization")
+            ),
+        )
+        trace = result.governor.trace
         print()
         print(
             f"  governed run: {result.cycles:.0f} cycles,"
-            f" {len(governor.trace)} interval decisions"
+            f" {len(trace)} interval decisions"
         )
-        for decision in governor.trace:
+        for decision in trace:
             print(
                 f"    cycle {decision.at_cycle:>10.0f}  gpm{decision.gpm_id}"
                 f"  util={decision.utilization:.2f}"
@@ -501,11 +504,6 @@ def _dvfs_main(argv: list[str]) -> int:
             )
 
     if args.cap_watts is not None:
-        import dataclasses
-
-        capped_config = dataclasses.replace(
-            config, power_cap_watts=args.cap_watts
-        )
         result = simulate(workload, capped_config)
         params = EnergyParams.for_operating_point(
             capped_config, residency=result.residency

@@ -3,10 +3,11 @@
 The subsystem opens the V/f axis the paper holds fixed: validated
 :class:`VfCurve` tables anchored at the K40 boost point, a
 :class:`DvfsConfig` threading per-domain (core / DRAM / interconnect)
-operating points through the timing and energy layers, runtime
-:class:`Governor` policies, and the offline sweet-spot search in
-:mod:`repro.dvfs.sweetspot` (imported lazily there — it pulls in the sweep
-runner, which this package root must not).
+operating points through the timing and energy layers, the
+:class:`Governor` policies a configuration's power cap or idle governor
+kind selects (:func:`repro.dvfs.idle.governor_for`), and the offline
+sweet-spot search in :mod:`repro.dvfs.sweetspot` (imported lazily there —
+it pulls in the sweep runner, which this package root must not).
 
 See ``docs/POWER.md`` for the scaling model and usage.
 """
@@ -24,7 +25,6 @@ from repro.dvfs.governor import (
     GpmObservation,
     GpmPowerModel,
     PowerCapGovernor,
-    StaticGovernor,
     UtilizationGovernor,
 )
 from repro.dvfs.operating_point import (
@@ -51,7 +51,6 @@ __all__ = [
     "OperatingPoint",
     "PowerCapGovernor",
     "ResidencyHistogram",
-    "StaticGovernor",
     "UtilizationGovernor",
     "VfCurve",
 ]

@@ -1,26 +1,29 @@
 """DVFS governors: policies that pick core operating points at runtime.
 
 A governor steers each GPM's *core* domain while a workload runs.  The
-driver (:class:`~repro.gpu.multigpu.MultiGpu`) consults it at every kernel
+configuration chooses it — ``GpuConfig.power_cap_watts`` or the governor
+kind of ``GpuConfig.idle`` (see :func:`repro.dvfs.idle.governor_for`) — so
+a governed run stays a pure function of its (workload, configuration) pair
+and shares the sweep cache like any other.  The driver
+(:class:`~repro.gpu.multigpu.MultiGpu`) consults it at every kernel
 boundary — the natural synchronization point of the bulk-synchronous
-workloads — handing it the GPM's issue-stage utilization over the interval
-just finished (the same busy/idle counters the ``MetricsRegistry`` profile
-view reports).  The governor answers with the point to run the next interval
-at and keeps a decision trace for analysis.
+workloads — through :meth:`Governor.on_chip_interval`, handing it every
+GPM's issue-stage utilization over the interval just finished (the same
+busy/idle counters the ``MetricsRegistry`` profile view reports).  The
+governor answers with the points to run the next interval at and keeps a
+decision trace, which ``RunResult.governor.trace`` exposes for analysis.
 
-Three policies ship here:
+Two policies live here:
 
-* :class:`StaticGovernor` pins every GPM to one point (the building block of
-  offline sweeps — :mod:`repro.dvfs.sweetspot` prefers static *configs* so
-  the sweep cache applies, but the governor form exists for runtime use).
 * :class:`UtilizationGovernor` is the classic interval-based ondemand rule:
   step up the V/f ladder when the SMs are issue-bound, step down when they
   mostly idle on memory — the behaviour that turns memory-bound phases into
   energy savings at near-zero delay cost.
 * :class:`PowerCapGovernor` enforces a chip-level watt budget across all
-  GPMs, waterfilling operating points by utilization each interval.  Unlike
-  the per-GPM policies it decides for the whole chip at once, through the
-  batch :meth:`Governor.on_chip_interval` entry point.
+  GPMs, waterfilling operating points by utilization each interval.
+
+The idle-aware policies (race-to-idle, deadline-paced) live in
+:mod:`repro.dvfs.idle`.
 """
 
 from __future__ import annotations
@@ -58,20 +61,10 @@ class GpmObservation:
 
 @dataclass
 class Governor(abc.ABC):
-    """Base class for per-GPM core-domain DVFS policies."""
+    """Base class for chip-level core-domain DVFS policies."""
 
     curve: VfCurve = field(default_factory=lambda: K40_VF_CURVE)
     trace: list[GovernorDecision] = field(default_factory=list, repr=False)
-
-    @abc.abstractmethod
-    def initial_point(self, gpm_id: int) -> OperatingPoint:
-        """The point a GPM starts the workload at."""
-
-    @abc.abstractmethod
-    def decide(
-        self, gpm_id: int, utilization: float, current: OperatingPoint
-    ) -> OperatingPoint:
-        """Pick the next interval's point from the last interval's load."""
 
     def on_run_begin(self, total_kernels: int) -> None:
         """Called once before the workload launches (kernel count known).
@@ -80,25 +73,18 @@ class Governor(abc.ABC):
         ignore it, so the default is a no-op.
         """
 
-    # ------------------------------------------------------------- chip level
-
+    @abc.abstractmethod
     def initial_points(self, num_gpms: int) -> list[OperatingPoint]:
-        """The points every GPM starts the workload at (chip-wide view).
+        """The points every GPM starts the workload at."""
 
-        Per-GPM policies delegate to :meth:`initial_point`; chip-level
-        policies (the power-capping governor) override this to allocate a
-        feasible starting distribution.
-        """
-        return [self.initial_point(gpm_id) for gpm_id in range(num_gpms)]
-
+    @abc.abstractmethod
     def decide_chip(
-        self, observations: list[GpmObservation]
+        self,
+        observations: list[GpmObservation],
+        now: float,
+        window_cycles: float,
     ) -> list[OperatingPoint]:
-        """Pick every GPM's next point jointly (default: independent)."""
-        return [
-            self.decide(obs.gpm_id, obs.utilization, obs.current)
-            for obs in observations
-        ]
+        """Pick every GPM's next point from the interval just closed."""
 
     def chip_watts_estimate(self, points: list[OperatingPoint]) -> float:
         """Worst-case chip power of an allocation (0.0 without a model)."""
@@ -111,7 +97,7 @@ class Governor(abc.ABC):
         window_cycles: float,
     ) -> list[OperatingPoint]:
         """Driver entry point: decide for the chip, record, return points."""
-        points = self.decide_chip(observations)
+        points = self.decide_chip(observations, now, window_cycles)
         estimated = self.chip_watts_estimate(points)
         for obs, point in zip(observations, points):
             self.trace.append(
@@ -126,90 +112,44 @@ class Governor(abc.ABC):
             )
         return points
 
-    def on_interval(
-        self,
-        gpm_id: int,
-        utilization: float,
-        current: OperatingPoint,
-        now: float,
-        window_cycles: float,
-    ) -> OperatingPoint:
-        """Driver entry point: decide, record the decision, return the point."""
-        point = self.decide(gpm_id, utilization, current)
-        self.trace.append(
-            GovernorDecision(
-                at_cycle=now,
-                gpm_id=gpm_id,
-                window_cycles=window_cycles,
-                utilization=utilization,
-                point=point,
-            )
-        )
-        return point
 
-    def decisions_for(self, gpm_id: int) -> list[GovernorDecision]:
-        """This GPM's slice of the decision trace, in time order."""
-        return [d for d in self.trace if d.gpm_id == gpm_id]
-
-
-@dataclass
-class StaticGovernor(Governor):
-    """Pin every GPM to one fixed operating point for the whole run."""
-
-    point: OperatingPoint = field(default_factory=lambda: K40_VF_CURVE.anchor)
-
-    def __post_init__(self) -> None:
-        if not self.curve.contains(self.point):
-            raise ConfigError(
-                f"static point {self.point!r} lies outside the governor curve"
-            )
-
-    def initial_point(self, gpm_id: int) -> OperatingPoint:
-        return self.point
-
-    def decide(
-        self, gpm_id: int, utilization: float, current: OperatingPoint
-    ) -> OperatingPoint:
-        return self.point
+#: Issue-busy share of an interval at or above which a GPM steps one rung up.
+HIGH_WATERMARK: float = 0.75
+#: Issue-busy share at or below which a GPM steps one rung down.
+LOW_WATERMARK: float = 0.35
 
 
 @dataclass
 class UtilizationGovernor(Governor):
     """Interval-based ondemand policy over the issue-stage utilization.
 
-    When a GPM's SMs were issue-busy at least ``high_watermark`` of the last
-    interval, the core steps one rung up the curve (it is compute-bound:
-    frequency buys delay).  When they were busy at most ``low_watermark``,
-    it steps one rung down (it is memory/stall-bound: frequency buys nothing
-    but V² energy).  In between, the point holds.
+    Every GPM starts at the curve's anchor.  When a GPM's SMs were
+    issue-busy at least :data:`HIGH_WATERMARK` of the last interval, its
+    core steps one rung up the curve (it is compute-bound: frequency buys
+    delay).  When they were busy at most :data:`LOW_WATERMARK`, it steps one
+    rung down (it is memory/stall-bound: frequency buys nothing but V²
+    energy).  In between, the point holds.
     """
 
-    high_watermark: float = 0.75
-    low_watermark: float = 0.35
-    start: OperatingPoint | None = None
+    def initial_points(self, num_gpms: int) -> list[OperatingPoint]:
+        return [self.curve.anchor] * num_gpms
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.low_watermark < self.high_watermark <= 1.0:
-            raise ConfigError(
-                "watermarks must satisfy 0 <= low < high <= 1; got"
-                f" low={self.low_watermark!r} high={self.high_watermark!r}"
-            )
-        if self.start is not None and not self.curve.contains(self.start):
-            raise ConfigError(
-                f"start point {self.start!r} lies outside the governor curve"
-            )
-
-    def initial_point(self, gpm_id: int) -> OperatingPoint:
-        return self.start if self.start is not None else self.curve.anchor
-
-    def decide(
-        self, gpm_id: int, utilization: float, current: OperatingPoint
-    ) -> OperatingPoint:
-        if utilization >= self.high_watermark:
-            return self.curve.step_up(current)
-        if utilization <= self.low_watermark:
-            return self.curve.step_down(current)
-        return current
+    def decide_chip(
+        self,
+        observations: list[GpmObservation],
+        now: float,
+        window_cycles: float,
+    ) -> list[OperatingPoint]:
+        curve = self.curve
+        points = []
+        for obs in observations:
+            if obs.utilization >= HIGH_WATERMARK:
+                points.append(curve.step_up(obs.current))
+            elif obs.utilization <= LOW_WATERMARK:
+                points.append(curve.step_down(obs.current))
+            else:
+                points.append(obs.current)
+        return points
 
 
 #: Default worst-case per-GPM power at the anchor point: a 250 W board
@@ -272,28 +212,32 @@ class GpmPowerModel:
         return total
 
 
+#: Weight of the newest interval in the capping governor's utilization EMA.
+POWER_CAP_SMOOTHING: float = 0.5
+
+
 @dataclass
 class PowerCapGovernor(Governor):
     """Chip-level power capping: waterfill points by utilization under a cap.
 
     Every interval the governor recomputes a *target* allocation: starting
-    from the floor point, it raises GPMs one rung at a time — most-utilized
-    first, ties broken by GPM id — as long as the chip's worst-case power
-    stays within ``cap_watts``, never above ``ceiling`` (the anchor point by
-    default, so an infinite cap reproduces the ungoverned run bit-for-bit).
+    from the bottom of the curve, it raises GPMs one rung at a time —
+    most-utilized first, ties broken by GPM id — as long as the chip's
+    worst-case power stays within ``cap_watts``, never above ``ceiling``
+    (the anchor point by default, so an infinite cap reproduces the
+    ungoverned run bit-for-bit).
 
     Two hysteresis mechanisms damp oscillation: utilization is smoothed with
-    an exponential moving average (``smoothing``), and a GPM climbs at most
-    one rung per interval toward its target.  Downward moves apply
-    immediately — the cap is a hard constraint, so every chosen allocation
-    satisfies ``chip_watts(chosen) <= cap_watts`` at every interval.
+    an exponential moving average (:data:`POWER_CAP_SMOOTHING`), and a GPM
+    climbs at most one rung per interval toward its target.  Downward moves
+    apply immediately — the cap is a hard constraint, so every chosen
+    allocation satisfies ``chip_watts(chosen) <= cap_watts`` at every
+    interval.
     """
 
     cap_watts: float = math.inf
     power_model: GpmPowerModel = field(default_factory=GpmPowerModel)
-    floor: OperatingPoint | None = None
     ceiling: OperatingPoint | None = None
-    smoothing: float = 0.5
     _smoothed: dict[int, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -301,25 +245,11 @@ class PowerCapGovernor(Governor):
             raise ConfigError(
                 f"cap_watts must be positive, got {self.cap_watts!r}"
             )
-        if not 0.0 < self.smoothing <= 1.0:
+        if self.ceiling is not None and not self.curve.contains(self.ceiling):
             raise ConfigError(
-                f"smoothing must lie in (0, 1], got {self.smoothing!r}"
+                f"ceiling point {self.ceiling!r} lies outside the governor"
+                " curve"
             )
-        for name in ("floor", "ceiling"):
-            point = getattr(self, name)
-            if point is not None and not self.curve.contains(point):
-                raise ConfigError(
-                    f"{name} point {point!r} lies outside the governor curve"
-                )
-        if self.floor_point.frequency_hz > self.ceiling_point.frequency_hz:
-            raise ConfigError(
-                f"floor {self.floor_point!r} sits above ceiling"
-                f" {self.ceiling_point!r}"
-            )
-
-    @property
-    def floor_point(self) -> OperatingPoint:
-        return self.floor if self.floor is not None else self.curve.points[0]
 
     @property
     def ceiling_point(self) -> OperatingPoint:
@@ -342,7 +272,7 @@ class PowerCapGovernor(Governor):
         """
         curve = self.curve
         ceiling_hz = self.ceiling_point.frequency_hz
-        points = [self.floor_point] * len(priorities)
+        points = [curve.points[0]] * len(priorities)
         order = sorted(
             range(len(priorities)), key=lambda idx: (-priorities[idx], idx)
         )
@@ -364,33 +294,32 @@ class PowerCapGovernor(Governor):
         return points
 
     def initial_points(self, num_gpms: int) -> list[OperatingPoint]:
+        floor = self.curve.points[0]
         floor_watts = self.power_model.chip_watts(
-            self.curve, [self.floor_point] * num_gpms
+            self.curve, [floor] * num_gpms
         )
         if floor_watts > self.cap_watts:
             raise ConfigError(
                 f"cap {self.cap_watts:g} W is infeasible: {num_gpms} GPMs draw"
-                f" {floor_watts:g} W even at the floor point"
-                f" {self.floor_point.label()}"
+                f" {floor_watts:g} W even at the floor point {floor.label()}"
             )
         # Uniform priorities: with no load history, waterfill round-robin.
         return self._waterfill([1.0] * num_gpms)
 
-    def initial_point(self, gpm_id: int) -> OperatingPoint:
-        """Single-GPM fallback (chip-level callers use initial_points)."""
-        return self.initial_points(1)[0]
-
     # --------------------------------------------------------------- decisions
 
     def decide_chip(
-        self, observations: list[GpmObservation]
+        self,
+        observations: list[GpmObservation],
+        now: float,
+        window_cycles: float,
     ) -> list[OperatingPoint]:
         priorities = []
         for obs in observations:
             previous = self._smoothed.get(obs.gpm_id, obs.utilization)
             smoothed = (
-                self.smoothing * obs.utilization
-                + (1.0 - self.smoothing) * previous
+                POWER_CAP_SMOOTHING * obs.utilization
+                + (1.0 - POWER_CAP_SMOOTHING) * previous
             )
             self._smoothed[obs.gpm_id] = smoothed
             priorities.append(smoothed)
@@ -408,11 +337,3 @@ class PowerCapGovernor(Governor):
             else:
                 chosen.append(current)
         return chosen
-
-    def decide(
-        self, gpm_id: int, utilization: float, current: OperatingPoint
-    ) -> OperatingPoint:
-        """Per-GPM view of the chip decision (single-observation chip)."""
-        return self.decide_chip(
-            [GpmObservation(gpm_id, utilization, current)]
-        )[0]

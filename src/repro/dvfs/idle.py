@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.dvfs.operating_point import OperatingPoint, VfCurve
+from repro.dvfs.operating_point import K40_VF_CURVE, OperatingPoint
 from repro.dvfs.governor import (
     Governor,
     GpmObservation,
@@ -50,6 +51,9 @@ from repro.dvfs.governor import (
     UtilizationGovernor,
 )
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.gpu.config import GpuConfig
 
 
 @dataclass(frozen=True)
@@ -220,10 +224,9 @@ class IdleConfig:
     ) -> "IdleConfig":
         """An idle policy with no sleep states: the governor alone.
 
-        The cacheable way to run a plain governed configuration — the
-        governor kind joins the config fingerprint, and with no states the
-        driver's gating machinery never engages, so the run is bit-identical
-        to passing the governor explicitly.
+        The way to run a plain governed configuration — the governor kind
+        joins the config fingerprint, and with no states the driver's gating
+        machinery never engages: only the governor moves the clocks.
         """
         return cls(
             clock_gated=None,
@@ -275,30 +278,31 @@ class IdleConfig:
         }
 
 
-def governor_for(
-    idle: IdleConfig | None,
-    power_cap_watts: float | None,
-    curve: VfCurve,
-) -> Governor | None:
+def governor_for(config: GpuConfig) -> Governor | None:
     """The governor a config's power knobs imply, or ``None`` for static.
 
-    A power cap is a hard constraint and keeps the point-selection slot; a
-    race-to-idle request composes with it by raising the cap governor's
-    ceiling to the top of the curve — sprint as high as the budget allows.
-    Without a cap the idle governor kind maps directly to its policy.
+    The only way a governor reaches a run: the driver builds one per run
+    from its configuration, and the power-cap feasibility checks ask it for
+    its initial points.  The governor steers the configuration's V/f curve
+    (the K40 ladder without a ``dvfs`` setting).  A power cap is a hard
+    constraint and keeps the point-selection slot; a race-to-idle request
+    composes with it by raising the cap governor's ceiling to the top of the
+    curve — sprint as high as the budget allows.  Without a cap the idle
+    governor kind maps directly to its policy.
     """
+    idle = config.idle
     kind = idle.governor if idle is not None else None
-    if power_cap_watts is not None:
+    if config.power_cap_watts is None and kind is None:
+        return None
+    curve = config.dvfs.curve if config.dvfs is not None else K40_VF_CURVE
+    if config.power_cap_watts is not None:
         ceiling = curve.points[-1] if kind == "race-to-idle" else None
         return PowerCapGovernor(
-            curve=curve, cap_watts=power_cap_watts, ceiling=ceiling
+            curve=curve, cap_watts=config.power_cap_watts, ceiling=ceiling
         )
-    if kind is None:
-        return None
     if kind == "race-to-idle":
         return RaceToIdleGovernor(curve=curve)
     if kind == "deadline-paced":
-        assert idle is not None  # kind came from idle
         return DeadlinePacedGovernor(
             curve=curve, deadline_cycles=idle.deadline_cycles
         )
@@ -316,25 +320,20 @@ class RaceToIdleGovernor(Governor):
     time some module spends gated instead of burning stall power.
     """
 
-    sprint: OperatingPoint | None = None
+    def initial_points(self, num_gpms: int) -> list[OperatingPoint]:
+        return [self.curve.points[-1]] * num_gpms
 
-    def __post_init__(self) -> None:
-        if self.sprint is not None and not self.curve.contains(self.sprint):
-            raise ConfigError(
-                f"sprint point {self.sprint!r} lies outside the governor curve"
-            )
+    def decide_chip(
+        self,
+        observations: list[GpmObservation],
+        now: float,
+        window_cycles: float,
+    ) -> list[OperatingPoint]:
+        return [self.curve.points[-1]] * len(observations)
 
-    @property
-    def sprint_point(self) -> OperatingPoint:
-        return self.sprint if self.sprint is not None else self.curve.points[-1]
 
-    def initial_point(self, gpm_id: int) -> OperatingPoint:
-        return self.sprint_point
-
-    def decide(
-        self, gpm_id: int, utilization: float, current: OperatingPoint
-    ) -> OperatingPoint:
-        return self.sprint_point
+#: Margin the deadline-paced bound charges on top of the longest window.
+DEADLINE_SAFETY: float = 1.5
 
 
 @dataclass
@@ -344,11 +343,12 @@ class DeadlinePacedGovernor(Governor):
     The governor starts at the top of the curve (no history — racing is the
     only safe opening) and, once it has seen an interval, re-plans at every
     kernel boundary: it bounds the remaining time at a candidate ratio ``r``
-    by ``remaining_kernels × longest_window × (r_max / r) × safety`` — the
-    longest window seen so far is never credited for the clock it ran at,
-    and a slower clock is charged the full compute-bound stretch — then
-    picks the slowest point whose bound still fits before the deadline.
-    Whenever nothing fits, it jumps straight back to the top of the curve.
+    by ``remaining_kernels × longest_window × (r_max / r) ×``
+    :data:`DEADLINE_SAFETY` — the longest window seen so far is never
+    credited for the clock it ran at, and a slower clock is charged the full
+    compute-bound stretch — then picks the slowest point whose bound still
+    fits before the deadline.  Whenever nothing fits, it jumps straight back
+    to the top of the curve.
 
     The conservative bound is what backs the property test: for a feasible
     deadline (any slack over the all-out runtime on the suite's
@@ -356,20 +356,14 @@ class DeadlinePacedGovernor(Governor):
     """
 
     deadline_cycles: float = math.inf
-    safety: float = 1.5
     _total_kernels: int = field(default=0, repr=False)
     _kernels_done: int = field(default=0, repr=False)
     _longest_window: float = field(default=0.0, repr=False)
-    _now: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
         if not self.deadline_cycles > 0 or math.isnan(self.deadline_cycles):
             raise ConfigError(
                 f"deadline_cycles must be positive, got {self.deadline_cycles!r}"
-            )
-        if not self.safety >= 1.0:
-            raise ConfigError(
-                f"safety factor must be at least 1.0, got {self.safety!r}"
             )
 
     def on_run_begin(self, total_kernels: int) -> None:
@@ -377,8 +371,8 @@ class DeadlinePacedGovernor(Governor):
         self._kernels_done = 0
         self._longest_window = 0.0
 
-    def initial_point(self, gpm_id: int) -> OperatingPoint:
-        return self.curve.points[-1]
+    def initial_points(self, num_gpms: int) -> list[OperatingPoint]:
+        return [self.curve.points[-1]] * num_gpms
 
     def _plan_point(self, now: float) -> OperatingPoint:
         remaining = max(0, self._total_kernels - self._kernels_done)
@@ -393,12 +387,12 @@ class DeadlinePacedGovernor(Governor):
         budget = self.deadline_cycles - now
         for point in self.curve.points:
             stretch = top_ratio / self.curve.frequency_ratio(point)
-            bound = remaining * self._longest_window * stretch * self.safety
+            bound = remaining * self._longest_window * stretch * DEADLINE_SAFETY
             if bound <= budget:
                 return point
         return top
 
-    def on_chip_interval(
+    def decide_chip(
         self,
         observations: list[GpmObservation],
         now: float,
@@ -406,17 +400,4 @@ class DeadlinePacedGovernor(Governor):
     ) -> list[OperatingPoint]:
         self._kernels_done += 1
         self._longest_window = max(self._longest_window, window_cycles)
-        self._now = now
-        return super().on_chip_interval(observations, now, window_cycles)
-
-    def decide(
-        self, gpm_id: int, utilization: float, current: OperatingPoint
-    ) -> OperatingPoint:
-        """Per-GPM view: the chip-wide plan at the last observed time."""
-        return self._plan_point(self._now)
-
-    def decide_chip(
-        self, observations: list[GpmObservation]
-    ) -> list[OperatingPoint]:
-        point = self._plan_point(self._now)
-        return [point for _ in observations]
+        return [self._plan_point(now)] * len(observations)

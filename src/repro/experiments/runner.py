@@ -119,10 +119,7 @@ def _timed_runs(
             seconds=result.seconds,
             counters=result.counters,
             metrics=metrics.to_json(),
-            residency=(
-                None if result.residency is None
-                else result.residency.to_json()
-            ),
+            residency=result.residency.to_json(),
         )
         yield record, timing
         start = time.perf_counter()

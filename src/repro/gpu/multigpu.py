@@ -7,13 +7,14 @@ across GPMs (distributed CTA scheduling), every GPM drains its share, a
 global barrier closes the kernel, and the coherence protocol flash-invalidates
 remote-homed L2 lines before the next launch.
 
-DVFS enters in two ways.  A static :class:`~repro.dvfs.config.DvfsConfig`
-on the configuration rescales each GPM's core domain and the global DRAM and
-interconnect domains for the whole run (cacheable — part of the config
-fingerprint).  A runtime :class:`~repro.dvfs.governor.Governor` additionally
-re-points each GPM's core domain at every kernel boundary from its
-issue-stage utilization over the interval just closed; governed runs are a
-runtime behaviour, not part of the cacheable configuration.
+DVFS enters in two ways, both read from the configuration.  A static
+:class:`~repro.dvfs.config.DvfsConfig` rescales each GPM's core domain and
+the global DRAM and interconnect domains for the whole run.  A power cap or
+an idle governor kind makes the driver build a
+:class:`~repro.dvfs.governor.Governor`
+(:func:`~repro.dvfs.idle.governor_for`), which re-points each GPM's core
+domain at every kernel boundary from its issue-stage utilization over the
+interval just closed.
 
 Idle states (:class:`~repro.dvfs.idle.IdleConfig` on the configuration) add
 a third mechanism at the same kernel-boundary granularity: a GPM whose share
@@ -22,9 +23,10 @@ measurable *gap*, and the driver retroactively enters the deepest sleep
 state whose break-even cost fits inside it.  Entry latencies stay awake
 (the drain/flush), the rest of the gap lands in the histogram's sleep
 buckets, and the exit latency stalls that GPM's next kernel share.  A GPM
-with no work in consecutive kernels stays gated across them.  Every idle
-code path is gated on ``config.idle is not None``, keeping idle-off runs
-bit-identical to the pre-idle driver.
+with no work in consecutive kernels stays gated across them.  Every kernel
+share launches through the same wake-stall wrapper, whose stall is zero
+without idle; the gap accounting is gated on ``config.idle is not None``,
+keeping idle-off runs bit-identical to the pre-idle driver.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from collections.abc import Generator
 from dataclasses import dataclass
 
 from repro.dvfs.config import DomainScales, IDENTITY_SCALES
-from repro.dvfs.governor import Governor, GpmObservation
-from repro.dvfs.idle import SleepState
+from repro.dvfs.governor import GpmObservation
+from repro.dvfs.idle import SleepState, governor_for
 from repro.dvfs.operating_point import K40_OPERATING_POINT, OperatingPoint
 from repro.dvfs.residency import DvfsResidency, ResidencyHistogram
 from repro.errors import ConfigError
@@ -53,6 +55,14 @@ from repro.memory.pages import PagePlacement
 from repro.sim.engine import AllOf, Engine, Timeout
 
 
+#: The network class each interconnect kind builds.
+_TOPOLOGIES: dict[TopologyKind, type[Topology]] = {
+    TopologyKind.MESH: MeshTopology,
+    TopologyKind.RING: RingTopology,
+    TopologyKind.SWITCH: SwitchTopology,
+}
+
+
 @dataclass
 class KernelStats:
     """Per-kernel timing recorded by the driver."""
@@ -69,13 +79,7 @@ class KernelStats:
 class MultiGpu:
     """A 1..32-module GPU instance bound to one simulation engine."""
 
-    def __init__(
-        self,
-        config: GpuConfig,
-        tracer=None,
-        metrics=None,
-        governor: Governor | None = None,
-    ):
+    def __init__(self, config: GpuConfig, tracer=None, metrics=None):
         self.config = config
         self.engine = Engine(tracer=tracer, metrics=metrics)
         # Each GPM accumulates into its own shard; the chip-global totals on
@@ -106,7 +110,7 @@ class MultiGpu:
             for gpm in self.gpms:
                 self.coherence.register_l2(gpm.gpm_id, gpm.memory.l2)
         self.kernel_stats: list[KernelStats] = []
-        self.governor = governor
+        self.governor = governor = governor_for(config)
         #: Per-GPM anchor cycles spent at each core point (governed runs).
         self._core_residency: list[dict[OperatingPoint, float]] = [
             {} for _ in self.gpms
@@ -125,40 +129,19 @@ class MultiGpu:
             )
             self._core_mhz = self.engine.metrics.accumulator("dvfs.core_mhz")
         self.idle = config.idle
-        if self.idle is not None:
-            #: Per-GPM gated anchor cycles, by sleep state.
-            self._sleep_residency: list[dict[SleepState, float]] = [
-                {} for _ in self.gpms
-            ]
-            #: The state each GPM is currently gated in; sticky across
-            #: kernels while the GPM has no work.
-            self._asleep: list[SleepState | None] = [None for _ in self.gpms]
-            #: Gated cycles inside the kernel window just closed (the
-            #: governed residency subtracts them from the active bucket).
-            self._window_sleep = [0.0 for _ in self.gpms]
-            #: When each GPM's share of the current kernel drained.
-            self._drain_cycle = [0.0 for _ in self.gpms]
-            self._had_share = [False for _ in self.gpms]
-
-    @property
-    def dvfs_residency(self) -> dict[int, dict[str, float]]:
-        """Governed core residency as ``{gpm_id: {point label: cycles}}``."""
-        return {
-            gpm_id: {point.label(): cycles for point, cycles in hist.items()}
-            for gpm_id, hist in enumerate(self._core_residency)
-            if hist
-        }
-
-    @property
-    def sleep_residency(self) -> dict[int, dict[str, float]]:
-        """Gated cycles as ``{gpm_id: {state name: cycles}}`` (idle runs)."""
-        if self.idle is None:
-            return {}
-        return {
-            gpm_id: {state.name: cycles for state, cycles in sleeps.items()}
-            for gpm_id, sleeps in enumerate(self._sleep_residency)
-            if sleeps
-        }
+        #: Per-GPM gated anchor cycles, by sleep state (empty without idle).
+        self._sleep_residency: list[dict[SleepState, float]] = [
+            {} for _ in self.gpms
+        ]
+        #: The state each GPM is currently gated in; sticky across kernels
+        #: while the GPM has no work.
+        self._asleep: list[SleepState | None] = [None for _ in self.gpms]
+        #: Gated cycles inside the kernel window just closed (the governed
+        #: residency subtracts them from the active bucket).
+        self._window_sleep = [0.0 for _ in self.gpms]
+        #: When each GPM's share of the current kernel drained.
+        self._drain_cycle = [0.0 for _ in self.gpms]
+        self._had_share = [False for _ in self.gpms]
 
     def _gpm_scales(self, gpm_id: int) -> DomainScales:
         if self.config.dvfs is None:
@@ -178,34 +161,14 @@ class MultiGpu:
         ic_scale = self.scales[0].interconnect_freq
         bandwidth = interconnect.per_gpm_bandwidth_gbps * ic_scale
         latency = interconnect.link_latency_cycles / ic_scale
-        clock_hz = config.gpm.clock_hz
-        if interconnect.kind is TopologyKind.MESH:
-            topology: Topology = MeshTopology(
-                self.engine,
-                config.num_gpms,
-                per_gpm_bandwidth_gbps=bandwidth,
-                link_latency_cycles=latency,
-                energy_pj_per_bit=interconnect.energy_pj_per_bit,
-                clock_hz=clock_hz,
-            )
-        elif interconnect.kind is TopologyKind.RING:
-            topology = RingTopology(
-                self.engine,
-                config.num_gpms,
-                per_gpm_bandwidth_gbps=bandwidth,
-                link_latency_cycles=latency,
-                energy_pj_per_bit=interconnect.energy_pj_per_bit,
-                clock_hz=clock_hz,
-            )
-        else:
-            topology = SwitchTopology(
-                self.engine,
-                config.num_gpms,
-                per_gpm_bandwidth_gbps=bandwidth,
-                link_latency_cycles=latency,
-                energy_pj_per_bit=interconnect.energy_pj_per_bit,
-                clock_hz=clock_hz,
-            )
+        topology: Topology = _TOPOLOGIES[interconnect.kind](
+            self.engine,
+            config.num_gpms,
+            per_gpm_bandwidth_gbps=bandwidth,
+            link_latency_cycles=latency,
+            energy_pj_per_bit=interconnect.energy_pj_per_bit,
+            clock_hz=config.gpm.clock_hz,
+        )
         if config.compression is not None:
             topology = CompressedTopology(topology, config.compression)
         return topology
@@ -218,8 +181,7 @@ class MultiGpu:
         All GPMs are observed first and the governor decides *jointly* over
         the chip (:meth:`~repro.dvfs.governor.Governor.on_chip_interval`) —
         a power-capping policy must see every module's utilization before it
-        can redistribute the budget.  Per-GPM governors behave identically to
-        the old one-module-at-a-time consultation.
+        can redistribute the budget.
         """
         governor = self.governor
         if governor is None:
@@ -238,9 +200,7 @@ class MultiGpu:
                 else min(1.0, busy_delta / (window * num_sms))
             )
             if window > 0:
-                awake = window
-                if self.idle is not None:
-                    awake -= self._window_sleep[gpm.gpm_id]
+                awake = window - self._window_sleep[gpm.gpm_id]
                 hist = self._core_residency[gpm.gpm_id]
                 if awake > 0:
                     hist[current] = hist.get(current, 0.0) + awake
@@ -344,27 +304,17 @@ class MultiGpu:
                         "warps_per_cta": kernel.warps_per_cta,
                     },
                 )
-            if self.idle is None:
-                processes = [
+            processes = []
+            for gpm, cta_ids in zip(self.gpms, partitions):
+                self._had_share[gpm.gpm_id] = bool(cta_ids)
+                if not cta_ids:
+                    continue
+                processes.append(
                     self.engine.process(
-                        gpm.run_kernel(kernel, cta_ids),
+                        self._gated_kernel(gpm, kernel, cta_ids),
                         name=f"gpm{gpm.gpm_id}.{kernel.name}",
                     )
-                    for gpm, cta_ids in zip(self.gpms, partitions)
-                    if cta_ids
-                ]
-            else:
-                processes = []
-                for gpm, cta_ids in zip(self.gpms, partitions):
-                    self._had_share[gpm.gpm_id] = bool(cta_ids)
-                    if not cta_ids:
-                        continue
-                    processes.append(
-                        self.engine.process(
-                            self._gated_kernel(gpm, kernel, cta_ids),
-                            name=f"gpm{gpm.gpm_id}.{kernel.name}",
-                        )
-                    )
+                )
             yield AllOf([process.done for process in processes])
             if tracer.enabled:
                 tracer.end("gpu", self.engine.now)
@@ -430,11 +380,7 @@ class MultiGpu:
         included — making ``total_cycles == elapsed`` hold in exact float64.
         """
         recorded = self._core_residency[gpm_id]
-        sleep = (
-            dict(self._sleep_residency[gpm_id])
-            if self.idle is not None
-            else {}
-        )
+        sleep = dict(self._sleep_residency[gpm_id])
         last = self._last_core_point[gpm_id]
         if last is None:
             return ResidencyHistogram(dict(recorded), sleep)

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.dvfs.governor import Governor
-from repro.dvfs.idle import governor_for
-from repro.dvfs.operating_point import K40_VF_CURVE
 from repro.dvfs.residency import DvfsResidency
 from repro.gpu.config import GpuConfig
 from repro.gpu.counters import CounterSet
@@ -36,6 +34,8 @@ class RunResult:
     workload_name: str
     config_label: str
     counters: CounterSet
+    #: Per-domain time-at-operating-point record (energy pricing input).
+    residency: DvfsResidency
     kernel_stats: list[KernelStats] = field(default_factory=list)
     clock_hz: float = 0.0
     metrics: MetricsRegistry | None = None
@@ -43,8 +43,6 @@ class RunResult:
     events_processed: int = 0
     #: Host wall-clock seconds the simulation took (not simulated time).
     wall_time_s: float = 0.0
-    #: Per-domain time-at-operating-point record (energy pricing input).
-    residency: DvfsResidency | None = None
     #: The governor that steered the run, when one did (decision trace).
     governor: Governor | None = None
 
@@ -94,7 +92,6 @@ def simulate(
     config: GpuConfig,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    governor: Governor | None = None,
 ) -> RunResult:
     """Simulate ``workload`` on a fresh GPU instance built from ``config``.
 
@@ -102,18 +99,14 @@ def simulate(
     and deterministic: identical (workload, config) pairs produce identical
     counters.  Pass a :class:`~repro.trace.ChromeTracer` to capture the
     run's event timeline and/or a :class:`~repro.trace.MetricsRegistry` to
-    collect component metrics; both default to the no-op fast path.  A
-    :class:`~repro.dvfs.governor.Governor` re-points each GPM's core V/f
-    domain at kernel boundaries; explicitly-passed governors are runtime
-    behaviour and must not go through the sweep cache.
+    collect component metrics; both default to the no-op fast path.
 
-    A configuration with ``power_cap_watts`` or ``idle`` set (and no
-    explicit governor) automatically attaches the governor those knobs
-    imply — a :class:`~repro.dvfs.governor.PowerCapGovernor` for the
-    budget, or the :mod:`repro.dvfs.idle` governor kind the idle config
-    selects — making the run a deterministic function of the configuration,
-    which is what lets it share the sweep cache (both knobs join the cache
-    fingerprint).
+    The configuration alone decides whether a governor steers the run: with
+    ``power_cap_watts`` or an ``idle`` governor kind set, the driver builds
+    the governor those knobs imply (:func:`~repro.dvfs.idle.governor_for`)
+    and re-points each GPM's core V/f domain at kernel boundaries.  Both
+    knobs join the cache fingerprint, so a governed run shares the sweep
+    cache like any other; ``RunResult.governor`` keeps its decision trace.
 
     The cyclic garbage collector is paused while the GPU is built and run
     (:func:`~repro.sim.collector.collector_paused`): a simulation creates
@@ -121,13 +114,8 @@ def simulate(
     allocates, and the collections its allocations would trigger find
     nothing to free.
     """
-    if governor is None and (
-        config.power_cap_watts is not None or config.idle is not None
-    ):
-        curve = config.dvfs.curve if config.dvfs is not None else K40_VF_CURVE
-        governor = governor_for(config.idle, config.power_cap_watts, curve)
     with collector_paused():
-        gpu = MultiGpu(config, tracer=tracer, metrics=metrics, governor=governor)
+        gpu = MultiGpu(config, tracer=tracer, metrics=metrics)
         start = time.perf_counter()
         counters = gpu.run(workload)
         wall_time_s = time.perf_counter() - start
@@ -135,11 +123,11 @@ def simulate(
         workload_name=workload.name,
         config_label=config.label(),
         counters=counters,
+        residency=gpu.residency(),
         kernel_stats=list(gpu.kernel_stats),
         clock_hz=config.gpm.clock_hz,
         metrics=gpu.engine.metrics,
         events_processed=gpu.engine.events_processed,
         wall_time_s=wall_time_s,
-        residency=gpu.residency(),
-        governor=governor,
+        governor=gpu.governor,
     )

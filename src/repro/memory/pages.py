@@ -59,10 +59,6 @@ class PagePlacement:
             None if address is None else address >> self._page_shift
         )
 
-    def page_of(self, address: int) -> int:
-        """Virtual page number of an address."""
-        return address >> self._page_shift
-
     def home(self, address: int, toucher_gpm: int) -> int:
         """Home GPM for ``address``; assigns one on first touch.
 

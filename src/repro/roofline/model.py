@@ -541,9 +541,3 @@ class RooflinePredictor:
             allocation
         )
         return self._finish(spec, config, capped, mean_hz)
-
-    def predict_pairs(
-        self, pairs: list[tuple[WorkloadSpec, GpuConfig]]
-    ) -> list[RooflinePrediction]:
-        """Vector convenience mirroring :meth:`SweepRunner.run`'s shape."""
-        return [self.predict(spec, config) for spec, config in pairs]

@@ -5,9 +5,10 @@ Three gates run, in order, before a request may touch the queue:
 1. **Validation** — the request's spec and config re-run the library's own
    ``ConfigError`` checks, plus the runtime-feasibility checks a
    constructor can't do alone: an infeasible power cap (the ladder floor
-   still exceeds the budget) is caught here by asking the
-   :class:`~repro.dvfs.governor.PowerCapGovernor` for its initial points —
-   the same up-front rejection ``repro dvfs --cap-watts`` performs.
+   still exceeds the budget) is caught here by asking the governor the
+   config implies (:func:`~repro.dvfs.idle.governor_for`) for its initial
+   points — the same up-front rejection ``repro dvfs --cap-watts``
+   performs.
 2. **Rate limiting** — one token per submission from the client's bucket.
 3. **Capacity** — the queue must admit one more job, after stale pending
    jobs have been swept.
@@ -34,14 +35,10 @@ def validate_request(request: JobRequest) -> None:
     """
     config = request.config
     if config.power_cap_watts is not None:
-        from repro.dvfs.governor import PowerCapGovernor
-        from repro.dvfs.operating_point import K40_VF_CURVE
+        from repro.dvfs.idle import governor_for
 
-        curve = config.dvfs.curve if config.dvfs is not None else K40_VF_CURVE
         # Raises ConfigError when even the ladder floor exceeds the budget.
-        PowerCapGovernor(
-            curve=curve, cap_watts=config.power_cap_watts
-        ).initial_points(config.num_gpms)
+        governor_for(config).initial_points(config.num_gpms)
     if config.dvfs is not None:
         # Validates per-GPM point-list length against the chip.
         config.dvfs.mean_core_ratios(config.num_gpms)

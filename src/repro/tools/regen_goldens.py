@@ -247,7 +247,7 @@ def golden_run(
         or config.dvfs is not None
         or config.idle is not None
     )
-    if not (pin_dvfs and result.residency is not None):
+    if not pin_dvfs:
         return counters_to_json(result.counters), None, None
     params = EnergyParams.for_operating_point(
         config, residency=result.residency

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.energy_model import EnergyParams
-from repro.dvfs.governor import StaticGovernor
 from repro.dvfs.idle import CLOCK_GATED, POWER_GATED, IdleConfig, SleepState
 from repro.dvfs.operating_point import K40_VF_CURVE
 from repro.dvfs.residency import ResidencyHistogram
@@ -169,7 +168,6 @@ class TestRaceDominance:
         workload = build_workload(
             shrunken_spec(workload_name, total_ctas=33, kernels=4)
         )
-        sprint = K40_VF_CURVE.points[-1]
         free_gate = IdleConfig(
             clock_gated=replace(
                 CLOCK_GATED, exit_latency_cycles=0.0, residual_fraction=0.0
@@ -178,11 +176,9 @@ class TestRaceDominance:
             governor="race-to-idle",
         )
         race_config = _study_config(free_gate)
-        static_config = _study_config()
+        static_config = _study_config(IdleConfig.governor_only("race-to-idle"))
         race = simulate(workload, race_config)
-        static = simulate(
-            workload, static_config, governor=StaticGovernor(point=sprint)
-        )
+        static = simulate(workload, static_config)
         assert race.counters.elapsed_cycles == static.counters.elapsed_cycles
         race_energy = race.energy_breakdown(
             EnergyParams.for_operating_point(

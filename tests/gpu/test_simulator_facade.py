@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dvfs.operating_point import K40_OPERATING_POINT
+from repro.dvfs.residency import DvfsResidency
 from repro.gpu.counters import CounterSet
 from repro.gpu.simulator import RunResult
 
@@ -15,6 +17,10 @@ def result_with(busy=600.0, idle=200.0, cycles=1000.0, clock=745e6):
         workload_name="w",
         config_label="1-GPM",
         counters=counters,
+        residency=DvfsResidency.static_run(
+            cycles, [K40_OPERATING_POINT], K40_OPERATING_POINT,
+            K40_OPERATING_POINT,
+        ),
         clock_hz=clock,
     )
 

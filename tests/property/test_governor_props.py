@@ -86,7 +86,7 @@ class TestBudgetInvariant:
                 GpmObservation(gpm_id=i, utilization=u, current=points[i])
                 for i, u in enumerate(interval)
             ]
-            points = governor.decide_chip(observations)
+            points = governor.decide_chip(observations, 0.0, 1000.0)
             assert all(point == K40_VF_CURVE.anchor for point in points)
 
 

@@ -5,9 +5,11 @@ residency=...)``) must agree with the static pricing path wherever both are
 defined:
 
 * *metamorphic*: a run that never leaves one operating point — whether via a
-  static ``DvfsConfig`` or a ``StaticGovernor`` — prices **bit-identically**
-  through its single-bucket residency and through the direct per-point
-  scaling (the weighted mean of one value is that value, by construction);
+  static ``DvfsConfig`` or a governor that holds one point (race-to-idle at
+  the top of the curve, an infinite cap at the anchor) — prices
+  **bit-identically** through its single-bucket residency and through the
+  direct per-point scaling (the weighted mean of one value is that value,
+  by construction);
 * *differential/monotone*: tightening the power cap must never *increase*
   the reported power draw — lower operating points cost less per event and
   less constant power, so energy-over-runtime falls as the budget shrinks.
@@ -21,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.energy_model import EnergyModel, EnergyParams
 from repro.dvfs.config import DvfsConfig
-from repro.dvfs.governor import DEFAULT_GPM_ANCHOR_WATTS, StaticGovernor
+from repro.dvfs.governor import DEFAULT_GPM_ANCHOR_WATTS
+from repro.dvfs.idle import IdleConfig
 from repro.dvfs.operating_point import K40_VF_CURVE
 from repro.gpu.config import table_iii_config
 from repro.gpu.simulator import simulate
@@ -31,11 +34,11 @@ from repro.workloads.suite import shrunken_spec
 curve_points = st.sampled_from(K40_VF_CURVE.points)
 
 
-def _small_run(workload_name: str, num_gpms: int, **simulate_kwargs):
+def _small_run(workload_name: str, num_gpms: int, **config_changes):
     spec = shrunken_spec(workload_name, total_ctas=8, kernels=1)
     workload = build_workload(spec)
-    config = table_iii_config(num_gpms)
-    return config, simulate(workload, config, **simulate_kwargs)
+    config = replace(table_iii_config(num_gpms), **config_changes)
+    return config, simulate(workload, config)
 
 
 class TestMetamorphicStaticPricing:
@@ -56,14 +59,23 @@ class TestMetamorphicStaticPricing:
         )
         assert priced == direct  # bit-exact, not approx
 
-    @given(point=curve_points, num_gpms=st.sampled_from([1, 2]))
-    @settings(max_examples=6, deadline=None)
+    @pytest.mark.parametrize(
+        ("config_changes", "point"),
+        [
+            (
+                {"idle": IdleConfig.governor_only("race-to-idle")},
+                K40_VF_CURVE.points[-1],
+            ),
+            ({"power_cap_watts": math.inf}, K40_VF_CURVE.anchor),
+        ],
+        ids=["race-to-idle", "infinite-cap"],
+    )
+    @pytest.mark.parametrize("num_gpms", [1, 2])
     def test_static_governor_residency_prices_bit_identically(
-        self, point, num_gpms
+        self, config_changes, point, num_gpms
     ):
-        config, result = _small_run(
-            "BPROP", num_gpms, governor=StaticGovernor(point=point)
-        )
+        config, result = _small_run("BPROP", num_gpms, **config_changes)
+        assert result.governor is not None
         priced = EnergyParams.for_operating_point(
             config, residency=result.residency
         )

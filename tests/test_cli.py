@@ -23,6 +23,32 @@ LAZY_STUDIES = (
 )
 
 
+#: Full stdout of ``repro dvfs Stream --gpms 2 --ctas 16 --kernels 2
+#: --governed``: the ladder sweep, its sweet spot, and the utilization
+#: governor's decision trace, byte for byte.
+GOVERNED_STREAM_STDOUT = (
+    "Stream on 2-GPM/2x-BW/on-package/ring: V/f sweep (edp)\n"
+    "  point        MHz      V   delay us  energy uJ         EDP        ED2P\n"
+    "  k40-324      324   0.84       2.16     147.87   3.189e-10   6.879e-16\n"
+    "  k40-405      405   0.86       1.91     150.96   2.887e-10   5.521e-16\n"
+    "  k40-480      480   0.88       1.76     156.95   2.762e-10   4.860e-16\n"
+    "  k40-562      562   0.91       1.64     167.84   2.751e-10   4.510e-16 <- sweet spot\n"
+    "  k40-614      614   0.93       1.58     176.08   2.781e-10   4.393e-16\n"
+    "  k40-666      666   0.96       1.53     188.15   2.877e-10   4.400e-16\n"
+    "  k40-705      705   0.99       1.50     200.29   2.997e-10   4.484e-16\n"
+    "  k40-boost    745   1.02       1.47     213.30   3.127e-10   4.585e-16  (anchor)\n"
+    "  k40-810      810   1.07       1.42     236.64   3.369e-10   4.795e-16\n"
+    "  k40-875      875   1.12       1.39     262.27   3.638e-10   5.047e-16\n"
+    "  sweet spot: k40-562 (562 MHz, edp 0.880x the anchor's)\n"
+    "\n"
+    "  governed run: 1104 cycles, 4 interval decisions\n"
+    "    cycle        548  gpm0  util=0.01  -> k40-705\n"
+    "    cycle        548  gpm1  util=0.01  -> k40-705\n"
+    "    cycle       1104  gpm0  util=0.01  -> k40-666\n"
+    "    cycle       1104  gpm1  util=0.01  -> k40-666\n"
+)
+
+
 def ladder_winner(abbr: str, gpms: int, metric: str = "edp") -> str:
     """The K40-ladder sweet spot's label for the CLI's 16-CTA copy."""
     from repro.dvfs.sweetspot import SweetSpotSearch
@@ -135,9 +161,7 @@ class TestDvfsSubcommand:
             ["dvfs", "Stream", "--gpms", "2", "--ctas", "16",
              "--kernels", "2", "--governed"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "governed run:" in out
-        assert "gpm0" in out and "gpm1" in out
+        assert capsys.readouterr().out == GOVERNED_STREAM_STDOUT
 
     def test_ed2p_metric_accepted(self, capsys):
         assert main(
