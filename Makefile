@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test perf-gate differential reproduce figures figures-smoke examples trace-smoke service-smoke roofline-smoke idle-smoke clean-cache loc
+.PHONY: install test perf-gate reproduce figures figures-smoke examples trace-smoke service-smoke roofline-smoke clean-cache loc
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -29,14 +29,6 @@ perf-gate:
 	done
 	$(PYTHON) -m benchmarks.suite compare .cache/perf-gate/base.jsonl .cache/perf-gate/change.jsonl
 
-# Bit-exact contracts, diffed with zero tolerance: idle-off identity, cache
-# equivalence against ReferenceCache, the remote-path pins (metrics and
-# events_processed), shared-trace identity (one build per spec vs per pair)
-# and the slot pins (runs whose GPM shares leave CTA slots empty; events are
-# the pin minus two per slot that never starts).
-differential:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/differential -q
-
 # Regenerate every registered study into results/<study>/ (fills .cache/
 # on first run; the paper figures' and idle study's logs are committed, so
 # run this after any change that moves their numbers; see EXPERIMENTS.md).
@@ -48,14 +40,11 @@ reproduce figures:
 # regenerates every study into gitignored quick*.txt files (checking the
 # Table Ib and config-table paper claims, which have no quick grid); a
 # replay of it on the same cache must add no cache entry and rewrite every
-# quick*.txt byte for byte (repeats served from memory, then from disk);
-# then the workload/figure property tests assert the phase-schedule
-# invariants and the llmstudy governor direction (see docs/WORKLOADS.md).
+# quick*.txt byte for byte (repeats served from memory, then from disk;
+# see docs/WORKLOADS.md).
 figures-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro figures --quick
 	PYTHONPATH=src $(PYTHON) -m repro.tools.figures_replay
-	PYTHONPATH=src $(PYTHON) -m pytest tests/workloads/test_llm.py \
-	  tests/experiments/test_llm_study.py tests/roofline/test_screen_fallback.py -q
 
 # Capture a small Chrome trace and validate it (see docs/OBSERVABILITY.md).
 # PYTHONPATH=src keeps this working on boxes that skipped `make install`.
@@ -70,27 +59,10 @@ service-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.tools.service_smoke
 
 # Roofline fast-path check: the committed error-bound manifest must hold
-# against a fresh golden re-simulation, and the screened-sweep contract
-# tests must pass, including the screened-vs-exhaustive >= 5x bar of
-# tests/roofline/test_screen_speedup.py (see docs/MODELING.md).
+# against a fresh golden re-simulation (see docs/MODELING.md).  The
+# screened-sweep contract tests under tests/roofline run with `make test`.
 roofline-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.tools.roofline_bounds
-	PYTHONPATH=src $(PYTHON) -m pytest tests/roofline -q
-
-# Idle-subsystem wall: the differential idle-off bit-identity suite, the
-# Hypothesis property wall for sleep states and governors, the governor
-# policies themselves (utilization, power cap) and the residency pricing of
-# config-chosen governors, and tests/experiments/test_idle_study.py, which
-# asserts the race-to-idle win on the bursty workload and loss on the
-# steady one; then the idle study's quick tier, whose summary prints both
-# directions (see docs/POWER.md).
-idle-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/test_idle_identity.py \
-	  tests/dvfs/test_idle_properties.py tests/dvfs/test_governor.py \
-	  tests/dvfs/test_powercap.py \
-	  tests/property/test_residency_pricing_props.py \
-	  tests/experiments/test_idle_study.py -q
-	PYTHONPATH=src $(PYTHON) -m repro figures --only idle_study --quick
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -88,14 +88,3 @@ def estimate_ept(run: MeasuredRun, background_energy_j: float = 0.0) -> float:
         )
     return net / run.event_count
 
-
-def epi_from_repeats(runs: list[MeasuredRun]) -> float:
-    """Average EPI across repeated measurements of the same microbenchmark.
-
-    Sensor quantization makes single measurements noisy; the harness repeats
-    each benchmark and averages, mirroring how the paper averages across
-    thousands of iterations and all SMs.
-    """
-    if not runs:
-        raise CalibrationError("need at least one measurement")
-    return sum(estimate_epi(run) for run in runs) / len(runs)

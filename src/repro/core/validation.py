@@ -2,7 +2,7 @@
 
 Figure 4 reports signed relative errors per benchmark plus a suite-level
 summary.  The paper quotes a "9.4 % mean absolute error" across the 18
-applications and a geomean-error summary bar; both are computed here.
+applications; the errors and that summary are computed here.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
-from repro.units import geomean
 
 
 def relative_error_percent(modeled_j: float, measured_j: float) -> float:
@@ -43,26 +42,6 @@ class ErrorReport:
         if not self.cases:
             raise ValidationError("no validation cases recorded")
         return sum(abs(error) for error in self.cases.values()) / len(self.cases)
-
-    @property
-    def geomean_absolute_error(self) -> float:
-        """Geometric mean of |error| across cases, in percent.
-
-        Cases with zero error would annihilate a geometric mean; they are
-        floored at 0.1 % (a tenth of a percent) — far below the sensor's own
-        fidelity — so the summary stays meaningful.
-        """
-        if not self.cases:
-            raise ValidationError("no validation cases recorded")
-        return geomean(max(abs(error), 0.1) for error in self.cases.values())
-
-    @property
-    def worst_case(self) -> tuple[str, float]:
-        """(name, signed error) of the largest-magnitude miss."""
-        if not self.cases:
-            raise ValidationError("no validation cases recorded")
-        name = max(self.cases, key=lambda key: abs(self.cases[key]))
-        return name, self.cases[name]
 
     def outliers(self, threshold_percent: float = 30.0) -> dict[str, float]:
         """Cases whose |error| exceeds the threshold (Fig. 4b calls out >30 %)."""

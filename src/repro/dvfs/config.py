@@ -68,17 +68,6 @@ class DomainScales:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"scale {name!r} must be positive")
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.core_freq == 1.0
-            and self.core_volt == 1.0
-            and self.dram_freq == 1.0
-            and self.dram_volt == 1.0
-            and self.interconnect_freq == 1.0
-            and self.interconnect_volt == 1.0
-        )
-
 
 #: The anchor point of every domain: scale nothing.
 IDENTITY_SCALES = DomainScales()

@@ -63,10 +63,6 @@ class ResidencyHistogram:
         return sum(self.cycles.values()) + sum(self.sleep_cycles.values())
 
     @property
-    def active_cycles(self) -> float:
-        return sum(self.cycles.values())
-
-    @property
     def total_sleep_cycles(self) -> float:
         return sum(self.sleep_cycles.values())
 
@@ -273,23 +269,6 @@ class DvfsResidency:
     def total_sleep_cycles(self) -> float:
         """Gated cycles summed over every core domain (0.0 without idle)."""
         return sum(hist.total_sleep_cycles for hist in self.core)
-
-    def domain_fractions(self) -> dict[str, list[dict[str, float]]]:
-        """Per-domain time shares keyed by bucket label (invariant checks)."""
-        return {
-            "core": [
-                {bucket.label(): share for bucket, share in hist.fractions().items()}
-                for hist in self.core
-            ],
-            "dram": [
-                {point.label(): share
-                 for point, share in self.dram.fractions().items()}
-            ],
-            "interconnect": [
-                {point.label(): share
-                 for point, share in self.interconnect.fractions().items()}
-            ],
-        }
 
     # ----------------------------------------------------------- serialization
 

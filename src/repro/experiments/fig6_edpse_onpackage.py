@@ -57,22 +57,6 @@ class Fig6Result:
             ),
         )
 
-    def render_per_workload(self) -> str:
-        """Per-workload EDPSE detail behind the category means."""
-        counts = [row.num_gpms for row in self.rows]
-        headers = ["workload", "cat."] + [f"{n}-GPM" for n in counts]
-        table_rows = []
-        for abbr, scaling in sorted(self.study.workloads.items()):
-            table_rows.append(
-                [abbr, scaling.category.value]
-                + [scaling.edpse(n) for n in counts]
-            )
-        return render_table(
-            "Figure 6 (detail): per-workload EDPSE (%)",
-            headers,
-            table_rows,
-        )
-
 
 def run(
     runner: SweepRunner | None = None,

@@ -166,11 +166,3 @@ def run_scaling_study(
     return StudyResult(label=label, workloads=workloads)
 
 
-def incremental_ratio(values: dict[int, float], n: int) -> float:
-    """Ratio of a metric at ``n`` GPMs vs the preceding scaling point."""
-    counts = sorted(values)
-    index = counts.index(n)
-    if index == 0:
-        raise ExperimentError(f"{n} has no preceding scaling point")
-    return values[n] / values[counts[index - 1]]
-

@@ -58,18 +58,3 @@ def partition_ctas(
         start += size
     return partitions
 
-
-def partition_bounds(num_ctas: int, num_gpms: int) -> list[tuple[int, int]]:
-    """Half-open [start, end) CTA ranges of the contiguous partitioning.
-
-    Workload generators use these bounds to reason about which GPM will
-    first-touch a CTA's data without materializing the id lists.
-    """
-    partitions = partition_ctas(num_ctas, num_gpms, CtaPartitioning.CONTIGUOUS)
-    bounds = []
-    for ids in partitions:
-        if ids:
-            bounds.append((ids[0], ids[-1] + 1))
-        else:
-            bounds.append((0, 0))
-    return bounds

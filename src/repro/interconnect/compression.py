@@ -105,7 +105,3 @@ class CompressedTopology(Topology):
     def max_utilization(self, elapsed: float) -> float:
         """Bottleneck-link utilization of the wrapped topology."""
         return self.inner.max_utilization(elapsed)
-
-    def codec_energy_j(self) -> float:
-        """Total (de)compression energy spent, in joules."""
-        return self.codec_bytes * self.config.codec_pj_per_byte * 1e-12

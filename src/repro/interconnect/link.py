@@ -67,11 +67,6 @@ class Link:
         return self.server.reserve(nbytes, earliest=earliest)
 
     @property
-    def bytes_transferred(self) -> int:
-        """Bytes serialized on this link so far (its server's units)."""
-        return int(self.server.units_served)
-
-    @property
     def transfers(self) -> int:
         """Transfers that crossed this link so far."""
         return self.server.requests

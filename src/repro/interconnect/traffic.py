@@ -33,9 +33,3 @@ class TrafficCounters:
         self.bytes_injected += other.bytes_injected
         self.byte_hops += other.byte_hops
         self.switch_byte_traversals += other.switch_byte_traversals
-
-    @property
-    def mean_hops(self) -> float:
-        if self.bytes_injected == 0:
-            return 0.0
-        return self.byte_hops / self.bytes_injected

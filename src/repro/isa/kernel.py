@@ -52,18 +52,6 @@ class Kernel:
         if self.warps_per_cta <= 0:
             raise TraceError(f"kernel {self.name!r}: warps_per_cta must be positive")
 
-    def warp_program(self, cta_id: int, warp_id: int) -> WarpProgram:
-        """Materialize the program for one warp of one CTA."""
-        if not 0 <= cta_id < self.num_ctas:
-            raise TraceError(
-                f"kernel {self.name!r}: cta_id {cta_id} out of range"
-            )
-        if not 0 <= warp_id < self.warps_per_cta:
-            raise TraceError(
-                f"kernel {self.name!r}: warp_id {warp_id} out of range"
-            )
-        return self.program_factory(cta_id, warp_id)
-
     def cta_programs(self, cta_id: int) -> list[WarpProgram]:
         """Materialize all of one CTA's warp programs, in warp order.
 
@@ -120,14 +108,6 @@ class Workload:
     @property
     def launches(self) -> list[KernelLaunch]:
         return [KernelLaunch(kernel, i) for i, kernel in enumerate(self.kernels)]
-
-    @property
-    def is_compute_intensive(self) -> bool:
-        return self.category is WorkloadCategory.COMPUTE
-
-    @property
-    def is_memory_intensive(self) -> bool:
-        return self.category is WorkloadCategory.MEMORY
 
     def __repr__(self) -> str:
         return (

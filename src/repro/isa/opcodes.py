@@ -93,10 +93,6 @@ class Opcode(enum.Enum):
     __hash__ = object.__hash__
 
     @property
-    def info(self) -> OpInfo:
-        return _OP_INFO[self]
-
-    @property
     def op_class(self) -> OpClass:
         return _OP_INFO[self].op_class
 

@@ -16,7 +16,6 @@ per instruction — the key to simulating 32-GPM systems in pure Python.
 from __future__ import annotations
 
 from repro.errors import TraceError
-from repro.isa.instructions import Instruction
 from repro.isa.opcodes import MemSpace, Opcode
 
 
@@ -162,34 +161,3 @@ class WarpProgram:
     @property
     def total_accesses(self) -> int:
         return sum(len(segment.accesses) for segment in self.segments)
-
-    @classmethod
-    def from_instructions(cls, instructions: list[Instruction]) -> "WarpProgram":
-        """Build a program from a literal instruction list.
-
-        Consecutive compute instructions fold into one segment; each memory
-        instruction closes the current segment (so the literal form has MLP 1,
-        the behaviour of a true dependent pointer chase — exactly what the
-        memory microbenchmarks need).
-        """
-        if not instructions:
-            raise TraceError("cannot build a program from zero instructions")
-        segments: list[Segment] = []
-        compute: dict[Opcode, int] = {}
-        for instruction in instructions:
-            if instruction.opcode.is_memory:
-                access = MemAccess(
-                    address=instruction.address,  # type: ignore[arg-type]
-                    size=instruction.size,  # type: ignore[arg-type]
-                    is_store=instruction.is_store,
-                    space=instruction.mem_space or MemSpace.GLOBAL,
-                )
-                segments.append(Segment(compute=compute, accesses=(access,)))
-                compute = {}
-            elif instruction.opcode.is_compute:
-                compute[instruction.opcode] = compute.get(instruction.opcode, 0) + 1
-            # control instructions carry no cost in the energy model and are
-            # folded away, mirroring the paper's instruction vocabulary
-        if compute:
-            segments.append(Segment(compute=compute))
-        return cls(segments)

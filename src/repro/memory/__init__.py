@@ -2,7 +2,7 @@
 
 from repro.memory.cache import Cache, CacheConfig, CacheStats
 from repro.memory.dram import DramChannel, DramConfig, GDDR5, HBM
-from repro.memory.pages import PagePlacement, PageTable, PlacementPolicy
+from repro.memory.pages import PagePlacement, PlacementPolicy
 from repro.memory.coherence import SoftwareCoherence
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "GDDR5",
     "HBM",
     "PagePlacement",
-    "PageTable",
     "PlacementPolicy",
     "SoftwareCoherence",
 ]

@@ -91,11 +91,6 @@ class CacheStats:
     def misses(self) -> int:
         return self.read_misses + self.write_misses
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.accesses
-        return 0.0 if total == 0 else 1.0 - self.misses / total
-
     def merge(self, other: "CacheStats") -> None:
         """Accumulate another instance's counters into this one."""
         self.read_hits += other.read_hits

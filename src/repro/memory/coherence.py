@@ -40,7 +40,3 @@ class SoftwareCoherence:
         self.boundaries += 1
         self.lines_invalidated += dropped
         return dropped
-
-    @property
-    def registered_gpms(self) -> int:
-        return len(self._l2s)

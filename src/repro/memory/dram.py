@@ -139,10 +139,6 @@ class DramChannel:
         self.bytes_written += nbytes
         return self._service("write", nbytes, earliest)
 
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_read + self.bytes_written
-
     def utilization(self, elapsed: float) -> float:
         """Channel busy fraction over an elapsed window."""
         return self.server.utilization(elapsed)

@@ -88,22 +88,3 @@ class PagePlacement:
         self._homes[page] = assigned
         self.first_touches += 1
         return assigned
-
-    def peek(self, address: int) -> int | None:
-        """Home GPM if already assigned, else None (no side effects)."""
-        return self._homes.get(address >> self._page_shift)
-
-    @property
-    def mapped_pages(self) -> int:
-        return len(self._homes)
-
-    def distribution(self) -> list[int]:
-        """Pages homed at each GPM (diagnostic for placement balance)."""
-        counts = [0] * self.num_gpms
-        for home in self._homes.values():
-            counts[home] += 1
-        return counts
-
-
-#: Back-compat alias; some call sites read better as "PageTable".
-PageTable = PagePlacement

@@ -1,8 +1,8 @@
 """Pointer-chasing data-movement microbenchmarks.
 
-Each benchmark isolates one level of the memory hierarchy: the working set is
-sized to fit entirely within the target level while exceeding every faster
-level, and accesses form a dependent pointer chase so the hardware cannot
+Each benchmark isolates one level of the memory hierarchy: it models a chase
+whose working set fits entirely within the target level while exceeding every
+faster level, and accesses form a dependent pointer chase so the hardware cannot
 overlap them (latency exposes cleanly, and every access misses the faster
 levels by construction — warp-level coalescing keeps each chase step a single
 128 B line).
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.gpu.counters import CounterSet
 from repro.isa.opcodes import Opcode
-from repro.units import DEFAULT_CLOCK_HZ, KIB, MIB, SECTORS_PER_LINE
+from repro.units import DEFAULT_CLOCK_HZ, SECTORS_PER_LINE
 
 
 class MemoryLevel(enum.Enum):
@@ -32,15 +32,6 @@ class MemoryLevel(enum.Enum):
     L2 = "l2"
     DRAM = "dram"
 
-
-#: Working-set sizes that pin the chase at each level on the K40-like module
-#: (shared 48 KB config, 32 KB L1, 1.5 MB L2).
-_WORKING_SET_BYTES: dict[MemoryLevel, int] = {
-    MemoryLevel.SHARED: 16 * KIB,
-    MemoryLevel.L1: 24 * KIB,
-    MemoryLevel.L2: 1 * MIB,
-    MemoryLevel.DRAM: 64 * MIB,
-}
 
 #: Round-trip latency (cycles) of one dependent chase step at each level.
 _CHASE_LATENCY_CYCLES: dict[MemoryLevel, float] = {
@@ -104,10 +95,6 @@ class MemoryMicrobenchmark:
     @property
     def name(self) -> str:
         return f"ubench.memory.{self.level.value}"
-
-    @property
-    def working_set_bytes(self) -> int:
-        return _WORKING_SET_BYTES[self.level]
 
     @property
     def chase_latency_cycles(self) -> float:

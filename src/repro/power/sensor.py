@@ -5,10 +5,9 @@ readings; the paper attributes the BFS/MiniAMR validation outliers to exactly
 this limitation — kernels lasting hundreds of microseconds are averaged
 together with surrounding idle time inside one refresh window.
 
-The sensor here models that mechanism directly: given a true power waveform
-(a sequence of (duration, power) phases), it produces window-averaged,
-quantized samples.  A measurement taken over a short region of interest sees
-the *window averages overlapping the ROI*, not the true ROI power.
+The sensor here models that mechanism directly: a measurement taken over a
+short region of interest sees the quantized *window average overlapping the
+ROI*, not the true ROI power.
 """
 
 from __future__ import annotations
@@ -32,22 +31,8 @@ class SensorConfig:
             raise ConfigError("quantization must be non-negative")
 
 
-@dataclass(frozen=True)
-class Phase:
-    """One constant-power stretch of the true waveform."""
-
-    duration_s: float
-    power_w: float
-
-    def __post_init__(self) -> None:
-        if self.duration_s < 0:
-            raise ConfigError("phase duration must be non-negative")
-        if self.power_w < 0:
-            raise ConfigError("phase power must be non-negative")
-
-
 class PowerSensor:
-    """Window-averaging, quantizing sensor over a phase waveform."""
+    """Window-averaging, quantizing sensor."""
 
     def __init__(self, config: SensorConfig | None = None):
         self.config = config or SensorConfig()
@@ -57,38 +42,6 @@ class PowerSensor:
         if step == 0:
             return power_w
         return round(power_w / step) * step
-
-    def sample_waveform(self, phases: list[Phase]) -> list[float]:
-        """Window-averaged, quantized samples covering the whole waveform.
-
-        Each sample is the true average power over one refresh window; the
-        final (partial) window is averaged over its actual coverage, matching
-        a sensor that latches on its own clock.
-        """
-        if not phases:
-            raise ConfigError("waveform needs at least one phase")
-        period = self.config.refresh_period_s
-        samples: list[float] = []
-        window_energy = 0.0
-        window_time = 0.0
-        for phase in phases:
-            remaining = phase.duration_s
-            while remaining > 0:
-                room = period - window_time
-                take = remaining if remaining < room else room
-                window_energy += phase.power_w * take
-                window_time += take
-                remaining -= take
-                if window_time >= period - 1e-15:
-                    samples.append(self._quantize(window_energy / window_time))
-                    window_energy = 0.0
-                    window_time = 0.0
-        # Guard against float dust: phase durations that sum to an exact
-        # multiple of the period can leave a vanishing residual window
-        # (~1e-17 s) that a real sensor would never latch.
-        if window_time > 1e-12:
-            samples.append(self._quantize(window_energy / window_time))
-        return samples
 
     def measure_roi(
         self,

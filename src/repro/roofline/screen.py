@@ -89,10 +89,6 @@ class ScreenDisposition:
     def simulated_points(self) -> int:
         return sum(1 for entry in self.entries if entry.simulated)
 
-    @property
-    def skipped_points(self) -> int:
-        return self.scored_points - self.simulated_points
-
 
 def screen_fallback_reason(spec: WorkloadSpec, config: GpuConfig) -> str | None:
     """Why the roofline screen must not prune this (spec, config) — or None.

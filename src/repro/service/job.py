@@ -37,10 +37,6 @@ class JobState(enum.Enum):
     FAILED = "failed"        # the simulation itself raised
     EVICTED = "evicted"      # dropped while pending (stale / queue bound)
 
-    @property
-    def terminal(self) -> bool:
-        return self in (JobState.COMPLETED, JobState.FAILED, JobState.EVICTED)
-
 
 @dataclass(frozen=True)
 class JobRequest:

@@ -51,14 +51,14 @@ def default_cache_dir() -> Path:
     return Path(__file__).resolve().parents[3] / ".cache" / "sweeps"
 
 
-def write_json_atomic(path: Path, payload, **dump_kwargs) -> None:
+def write_json_atomic(path: Path, payload) -> None:
     """Write ``payload`` as JSON to ``path`` via a unique temporary file.
 
     ``os.replace`` is atomic, so a reader sees the old file or the new one,
     never a mix, and two writers racing on one path cannot interleave.
-    The text is encoded in one ``json.dumps`` call: ``json.dump`` always
-    runs the pure-Python encoder, ``dumps`` uses the C one when there is no
-    ``indent``, and both produce the same bytes.
+    The text is encoded in one ``json.dumps`` call with default options:
+    ``json.dump`` always runs the pure-Python encoder, ``dumps`` uses the C
+    one as long as there is no ``indent``, and both produce the same bytes.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
@@ -66,7 +66,7 @@ def write_json_atomic(path: Path, payload, **dump_kwargs) -> None:
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(payload, **dump_kwargs))
+            handle.write(json.dumps(payload))
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

@@ -94,13 +94,6 @@ class Event:
                 nowq.append((callback, value))
             callbacks.clear()
 
-    def add_callback(self, callback: Any) -> None:
-        """Register ``callback(value)``; fires now if already triggered."""
-        if self.triggered:
-            self.engine._nowq.append((callback, self.value))
-        else:
-            self._callbacks.append(callback)
-
 
 class AllOf:
     """Command object: wait for every event in ``events`` to succeed."""

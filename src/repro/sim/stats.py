@@ -212,12 +212,6 @@ class UtilizationTracker:
             self.busy_cycles += now - self.last_start
             self.active = False
 
-    def add_busy(self, cycles: float) -> None:
-        """Directly credit busy cycles (used with analytic servers)."""
-        if cycles < 0:
-            raise ValueError(f"negative busy credit: {cycles!r}")
-        self.busy_cycles += cycles
-
     def idle_cycles(self, elapsed: float) -> float:
         """Idle cycles over an ``elapsed`` window (clamped at zero)."""
         return max(0.0, elapsed - self.busy_cycles)

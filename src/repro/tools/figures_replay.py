@@ -1,10 +1,10 @@
-"""Replay check for the quick figure tier (``make figures-smoke``).
+"""Replay check for the quick figure tier.
 
-Run it right after ``repro figures --quick``, from the same directory.  It
-notes the cache's entries and the bytes of every ``results/*/quick*.txt``,
-runs ``repro figures --quick`` again against the same cache, and checks
-that the second run adds no cache entry and rewrites every quick file byte
-for byte.
+Run it right after ``repro figures --quick``, from the same directory, as
+``make figures-smoke`` (a step of the CI ``smoke`` job) does.  It notes the
+cache's entries and the bytes of every ``results/*/quick*.txt``, runs
+``repro figures --quick`` again against the same cache, and checks that the
+second run adds no cache entry and rewrites every quick file byte for byte.
 
 Within one run, the sweep runner serves a repeated cache key from its
 store's memory tier; the replay's new runner reads every entry from disk.

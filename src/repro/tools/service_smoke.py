@@ -1,4 +1,6 @@
-"""End-to-end smoke check for the sweep service (``make service-smoke``).
+"""End-to-end smoke check for the sweep service.
+
+``make service-smoke`` runs it, as a step of the CI ``smoke`` job.
 
 Starts a real service (workers + HTTP) on an ephemeral port, then drives
 the full request lifecycle over the wire and asserts the exported metrics
@@ -9,8 +11,8 @@ tell the right story:
 3. an infeasible-power-cap recipe is rejected at admission (HTTP 400,
    ``kind=invalid-config``) without a worker ever seeing it.
 
-Exits non-zero with a diagnostic on the first violated expectation, so CI
-gets a one-line cause rather than a stack of JSON.
+Exits non-zero with a diagnostic on the first violated expectation, so a
+failing run prints a one-line cause rather than a stack of JSON.
 """
 
 from __future__ import annotations

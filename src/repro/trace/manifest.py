@@ -111,7 +111,7 @@ class RunManifest:
         from repro.service.store import write_json_atomic
 
         target = Path(path)
-        write_json_atomic(target, self.to_json(), indent=2, sort_keys=True)
+        write_json_atomic(target, self.to_json())
         return target
 
     @classmethod

@@ -52,11 +52,6 @@ def nj(value_nanojoules: float) -> float:
     return value_nanojoules * NANO
 
 
-def pj(value_picojoules: float) -> float:
-    """Convert picojoules to joules."""
-    return value_picojoules * PICO
-
-
 def pj_per_bit_to_joules_per_byte(pj_per_bit: float) -> float:
     """Convert an energy-per-bit figure (pJ/bit) to joules per byte."""
     return pj_per_bit * PICO * 8.0
@@ -69,13 +64,6 @@ def cycles_to_seconds(cycles: float, clock_hz: float = DEFAULT_CLOCK_HZ) -> floa
     return cycles / clock_hz
 
 
-def seconds_to_cycles(seconds: float, clock_hz: float = DEFAULT_CLOCK_HZ) -> float:
-    """Convert wall-clock seconds into core clock cycles."""
-    if clock_hz <= 0:
-        raise ValueError(f"clock_hz must be positive, got {clock_hz!r}")
-    return seconds * clock_hz
-
-
 def gbps_to_bytes_per_cycle(
     gigabytes_per_second: float, clock_hz: float = DEFAULT_CLOCK_HZ
 ) -> float:
@@ -85,13 +73,6 @@ def gbps_to_bytes_per_cycle(
             f"bandwidth must be non-negative, got {gigabytes_per_second!r}"
         )
     return gigabytes_per_second * GIGA / clock_hz
-
-
-def bytes_per_cycle_to_gbps(
-    bytes_per_cycle: float, clock_hz: float = DEFAULT_CLOCK_HZ
-) -> float:
-    """Convert bytes per core clock cycle back into GB/s."""
-    return bytes_per_cycle * clock_hz / GIGA
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -129,13 +110,6 @@ def percent_change(new: float, old: float) -> float:
     if old == 0:
         raise ValueError("percent_change is undefined for a zero baseline")
     return (new - old) / old * 100.0
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to a multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment!r}")
-    return (value // alignment) * alignment
 
 
 def is_power_of_two(value: int) -> bool:

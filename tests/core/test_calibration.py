@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.calibration import (
-    MeasuredRun,
-    epi_from_repeats,
-    estimate_epi,
-    estimate_ept,
-)
+from repro.core.calibration import MeasuredRun, estimate_epi, estimate_ept
 from repro.errors import CalibrationError
 
 
@@ -74,15 +69,3 @@ class TestEstimateEpt:
         with pytest.raises(CalibrationError):
             estimate_ept(run_with(), background_energy_j=-1.0)
 
-
-class TestRepeats:
-    def test_averaging(self):
-        runs = [
-            run_with(power_active=95.0),
-            run_with(power_active=105.0),
-        ]
-        assert epi_from_repeats(runs) == pytest.approx(75e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(CalibrationError):
-            epi_from_repeats([])

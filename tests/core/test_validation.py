@@ -32,11 +32,6 @@ class TestErrorReport:
         assert set(outliers) == {"c"}
         assert outliers["c"] == pytest.approx(40.0)
 
-    def test_worst_case(self):
-        name, error = self.make_report().worst_case
-        assert name == "c"
-        assert error == pytest.approx(40.0)
-
     def test_within_band(self):
         report = ErrorReport()
         report.add("x", 99.0, 100.0)
@@ -54,11 +49,3 @@ class TestErrorReport:
         report = ErrorReport()
         with pytest.raises(ValidationError):
             _ = report.mean_absolute_error
-        with pytest.raises(ValidationError):
-            _ = report.worst_case
-
-    def test_geomean_floors_zero_errors(self):
-        report = ErrorReport()
-        report.add("exact", 100.0, 100.0)
-        report.add("off", 110.0, 100.0)
-        assert report.geomean_absolute_error == pytest.approx((0.1 * 10) ** 0.5)

@@ -1,5 +1,7 @@
 """DvfsConfig: domain scales, per-GPM points, labels, fingerprints."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.dvfs.config import DomainScales, DvfsConfig, IDENTITY_SCALES
@@ -13,8 +15,8 @@ from repro.errors import ConfigError
 
 class TestDomainScales:
     def test_defaults_are_identity(self):
-        assert IDENTITY_SCALES.is_identity
-        assert DomainScales(core_freq=0.9).is_identity is False
+        assert astuple(IDENTITY_SCALES) == (1.0,) * 6
+        assert DomainScales(core_freq=0.9) != IDENTITY_SCALES
 
     def test_positive_scales_required(self):
         with pytest.raises(ConfigError):
@@ -44,7 +46,7 @@ class TestPerGpmPoints:
         config = DvfsConfig(core_per_gpm=(slow, K40_OPERATING_POINT))
         assert config.core_point_for(0) is slow
         assert config.core_point_for(1) is K40_OPERATING_POINT
-        assert config.scales_for_gpm(1).is_identity
+        assert config.scales_for_gpm(1) == IDENTITY_SCALES
 
     def test_missing_gpm_rejected(self):
         config = DvfsConfig(core_per_gpm=(K40_OPERATING_POINT,))

@@ -172,23 +172,3 @@ class TestInterconnectEnergyResult:
         text = result.render()
         assert "2x-BW @ 4x pJ/b" in text
         assert "40 pJ/b" in text
-
-
-class TestFig6PerWorkloadDetail:
-    def test_detail_lists_every_workload(self, study):
-        from repro.experiments.fig6_edpse_onpackage import Fig6Result
-
-        rows = [
-            ScalingRow(
-                num_gpms=n, label=f"{n}-GPM",
-                values={
-                    "compute": study.mean_edpse(n, WorkloadCategory.COMPUTE),
-                    "memory": study.mean_edpse(n, WorkloadCategory.MEMORY),
-                    "all": study.mean_edpse(n),
-                },
-            )
-            for n in (2, 32)
-        ]
-        text = Fig6Result(study=study, rows=rows).render_per_workload()
-        assert "C1" in text and "M1" in text
-        assert "detail" in text

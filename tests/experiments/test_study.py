@@ -3,11 +3,9 @@
 import pytest
 
 from repro.core.energy_model import EnergyParams
-from repro.errors import ExperimentError
 from repro.experiments.runner import SweepRunner, SweepSettings
 from repro.experiments.study import (
     baseline_config,
-    incremental_ratio,
     run_scaling_study,
     scaling_configs,
 )
@@ -116,13 +114,3 @@ class TestRunScalingStudy:
             > cheap_study.workloads["MiniM"].energy_ratio(2)
         )
 
-
-class TestIncrementalRatio:
-    def test_ratio(self):
-        values = {2: 10.0, 4: 5.0, 8: 4.0}
-        assert incremental_ratio(values, 4) == pytest.approx(0.5)
-        assert incremental_ratio(values, 8) == pytest.approx(0.8)
-
-    def test_first_point_rejected(self):
-        with pytest.raises(ExperimentError):
-            incremental_ratio({2: 1.0, 4: 2.0}, 2)

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.gpu.cta_scheduler import (
-    CtaPartitioning,
-    partition_bounds,
-    partition_ctas,
-)
+from repro.gpu.cta_scheduler import CtaPartitioning, partition_ctas
 
 
 class TestContiguous:
@@ -55,19 +51,6 @@ class TestRoundRobin:
         partitions = partition_ctas(64, 4, CtaPartitioning.ROUND_ROBIN)
         for ctas in partitions:
             assert all(b - a == 4 for a, b in zip(ctas, ctas[1:]))
-
-
-class TestBounds:
-    def test_bounds_match_partitions(self):
-        bounds = partition_bounds(10, 4)
-        partitions = partition_ctas(10, 4)
-        for (start, end), ctas in zip(bounds, partitions):
-            assert list(range(start, end)) == ctas
-
-    def test_empty_partitions_have_empty_bounds(self):
-        bounds = partition_bounds(2, 4)
-        assert bounds[2] == (0, 0)
-        assert bounds[3] == (0, 0)
 
 
 class TestValidation:

@@ -62,11 +62,6 @@ class TestTransfers:
         assert t_comp < t_plain + 8.0
         assert t_comp > 8.0
 
-    def test_codec_energy(self):
-        topology = make_compressed(ratio=2.0, codec_pj_per_byte=2.0)
-        topology.transfer(0, 1, 1_000_000)
-        assert topology.codec_energy_j() == pytest.approx(2e-12 * 1_000_000)
-
     def test_routing_delegates(self):
         topology = make_compressed()
         links, traversals = topology.route(0, 2)

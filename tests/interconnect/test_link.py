@@ -45,7 +45,7 @@ class TestLink:
         link = self.make_link()
         link.reserve(100)
         link.reserve(200)
-        assert link.bytes_transferred == 300
+        assert link.server.units_served == 300
         assert link.transfers == 2
 
     def test_earliest(self):
@@ -64,16 +64,6 @@ class TestTrafficCounters:
         assert traffic.bytes_injected == 192
         assert traffic.byte_hops == 128 * 3 + 64 * 2
         assert traffic.switch_byte_traversals == 64
-
-    def test_mean_hops(self):
-        traffic = TrafficCounters()
-        traffic.record(100, hops=4, switch_traversals=0)
-        assert traffic.mean_hops == pytest.approx(4.0)
-        traffic.record(100, hops=2, switch_traversals=0)
-        assert traffic.mean_hops == pytest.approx(3.0)
-
-    def test_mean_hops_empty(self):
-        assert TrafficCounters().mean_hops == 0.0
 
     def test_merge(self):
         a, b = TrafficCounters(), TrafficCounters()

@@ -15,17 +15,15 @@ def _factory(cta_id: int, warp_id: int) -> WarpProgram:
 class TestKernel:
     def test_lazy_program_generation(self):
         kernel = Kernel("k", num_ctas=4, warps_per_cta=2, program_factory=_factory)
-        program = kernel.warp_program(3, 1)
+        program = kernel.cta_programs(3)[1]
         assert program.segments[0].compute[Opcode.FADD32] == 5
 
     def test_bounds_checked(self):
         kernel = Kernel("k", num_ctas=4, warps_per_cta=2, program_factory=_factory)
         with pytest.raises(TraceError):
-            kernel.warp_program(4, 0)
+            kernel.cta_programs(4)
         with pytest.raises(TraceError):
-            kernel.warp_program(0, 2)
-        with pytest.raises(TraceError):
-            kernel.warp_program(-1, 0)
+            kernel.cta_programs(-1)
 
     def test_total_warps(self):
         kernel = Kernel("k", num_ctas=8, warps_per_cta=4, program_factory=_factory)
@@ -41,12 +39,6 @@ class TestKernel:
 class TestWorkload:
     def _kernel(self, name="k"):
         return Kernel(name, num_ctas=2, warps_per_cta=1, program_factory=_factory)
-
-    def test_categories(self):
-        compute = Workload("c", [self._kernel()], WorkloadCategory.COMPUTE)
-        memory = Workload("m", [self._kernel()], WorkloadCategory.MEMORY)
-        assert compute.is_compute_intensive and not compute.is_memory_intensive
-        assert memory.is_memory_intensive and not memory.is_compute_intensive
 
     def test_launch_order(self):
         kernels = [self._kernel(f"k{i}") for i in range(3)]

@@ -14,7 +14,7 @@ from repro.isa.opcodes import (
 class TestClassification:
     def test_every_opcode_has_info(self):
         for opcode in Opcode:
-            assert opcode.info is not None
+            assert opcode.op_class is not None
             assert opcode.issue_weight > 0 or opcode.op_class is OpClass.CONTROL
 
     def test_compute_and_memory_are_disjoint(self):

@@ -1,4 +1,4 @@
-"""Warp program, segment, and instruction-folding behaviour."""
+"""Warp program, segment, and instruction-record behaviour."""
 
 import pytest
 
@@ -71,55 +71,6 @@ class TestWarpProgram:
         segments = [Segment(compute={Opcode.FADD32: i + 1}) for i in range(4)]
         program = WarpProgram(segments)
         assert [s.compute[Opcode.FADD32] for s in program] == [1, 2, 3, 4]
-
-
-class TestFromInstructions:
-    def test_folds_consecutive_compute(self):
-        instructions = [
-            Instruction(Opcode.FADD32),
-            Instruction(Opcode.FADD32),
-            Instruction(Opcode.LDG, address=0x100, size=128),
-            Instruction(Opcode.FMUL32),
-        ]
-        program = WarpProgram.from_instructions(instructions)
-        assert len(program) == 2
-        first, second = program.segments
-        assert first.compute == {Opcode.FADD32: 2}
-        assert len(first.accesses) == 1
-        assert second.compute == {Opcode.FMUL32: 1}
-        assert second.accesses == ()
-
-    def test_memory_closes_segment_with_mlp_one(self):
-        instructions = [
-            Instruction(Opcode.LDG, address=0, size=128),
-            Instruction(Opcode.LDG, address=128, size=128),
-        ]
-        program = WarpProgram.from_instructions(instructions)
-        # Dependent chase semantics: one access per segment.
-        assert len(program) == 2
-        assert all(len(s.accesses) == 1 for s in program)
-
-    def test_shared_space_preserved(self):
-        program = WarpProgram.from_instructions(
-            [Instruction(Opcode.LDS, address=64, size=128)]
-        )
-        assert program.segments[0].accesses[0].space is MemSpace.SHARED
-
-    def test_store_flag_preserved(self):
-        program = WarpProgram.from_instructions(
-            [Instruction(Opcode.STG, address=64, size=128)]
-        )
-        assert program.segments[0].accesses[0].is_store
-
-    def test_control_instructions_folded_away(self):
-        program = WarpProgram.from_instructions(
-            [Instruction(Opcode.FADD32), Instruction(Opcode.BRA)]
-        )
-        assert program.total_instructions == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(TraceError):
-            WarpProgram.from_instructions([])
 
 
 class TestInstruction:

@@ -145,13 +145,6 @@ class TestInvalidation:
         assert cache.flush() == 4
         assert cache.resident_lines == 0
 
-    def test_hit_rate(self):
-        cache = make_cache()
-        cache.access(0)
-        cache.access(0)
-        cache.access(0)
-        assert cache.stats.hit_rate == pytest.approx(2 / 3)
-
     def test_stats_merge(self):
         a = make_cache()
         b = make_cache()

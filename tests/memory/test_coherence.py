@@ -37,7 +37,6 @@ class TestKernelBoundary:
         protocol.kernel_boundary()
         assert protocol.boundaries == 2
         assert protocol.lines_invalidated == 2
-        assert protocol.registered_gpms == 1
 
     def test_boundary_with_no_remote_lines_is_noop(self):
         protocol = SoftwareCoherence()

@@ -64,7 +64,6 @@ class TestAccounting:
         channel.write(256)
         assert channel.bytes_read == 256
         assert channel.bytes_written == 256
-        assert channel.total_bytes == 512
         assert channel.reads == 2
         assert channel.writes == 1
 

@@ -263,10 +263,13 @@ class TestAccessSegment:
     def _check(self, engine, gpms, topology, completion, pending):
         assert completion == 454.3725
         fired = [None] * len(pending)
+
+        def waiter(index, event):
+            yield event
+            fired[index] = engine.now
+
         for index, event in enumerate(pending):
-            event.add_callback(
-                lambda _value, index=index: fired.__setitem__(index, engine.now)
-            )
+            engine.process(waiter(index, event))
         engine.run()
         assert fired == [475.30375000000004, 476.04875000000004]
         for gpm, expected in zip(gpms, self.COUNTERS):
@@ -283,7 +286,8 @@ class TestAccessSegment:
         assert dataclasses.astuple(gpms[0].l2.stats) == (1, 5, 0, 17, 2, 2, 0)
         assert dataclasses.astuple(gpms[0].l1s[0].stats) == (1, 5, 0, 0, 0, 0, 0)
         assert dataclasses.astuple(topology.traffic) == (5, 448, 448, 0)
-        assert engine.events_processed == 15
+        # 13 memory-path events, plus a start step and a resume per waiter.
+        assert engine.events_processed == 13 + 2 * len(pending)
 
     def test_segment_in_one_call(self, engine):
         gpms, topology, segment = self._setup(engine)

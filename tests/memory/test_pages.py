@@ -1,5 +1,7 @@
 """Page placement policies."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigError
@@ -24,13 +26,6 @@ class TestFirstTouch:
         placement.home(0, toucher_gpm=1)
         assert placement.home(PAGE_BYTES, toucher_gpm=3) == 3
 
-    def test_peek_has_no_side_effects(self):
-        placement = PagePlacement(num_gpms=2)
-        assert placement.peek(0x5000) is None
-        placement.home(0x5000, toucher_gpm=1)
-        assert placement.peek(0x5000) == 1
-        assert placement.mapped_pages == 1
-
     def test_toucher_bounds_checked(self):
         placement = PagePlacement(num_gpms=2)
         with pytest.raises(ConfigError):
@@ -48,9 +43,10 @@ class TestStriped:
 
     def test_distribution_balanced(self):
         placement = PagePlacement(num_gpms=4, policy=PlacementPolicy.STRIPED)
-        for page in range(64):
-            placement.home(page * PAGE_BYTES, toucher_gpm=0)
-        assert placement.distribution() == [16, 16, 16, 16]
+        homes = Counter(
+            placement.home(page * PAGE_BYTES, toucher_gpm=0) for page in range(64)
+        )
+        assert homes == {0: 16, 1: 16, 2: 16, 3: 16}
 
 
 class TestInterleavedRegion:

@@ -39,16 +39,6 @@ class TestIsolation:
         assert step.l2_l1_txns == SECTORS_PER_LINE
         assert step.dram_l2_txns == SECTORS_PER_LINE
 
-    def test_working_sets_fit_level(self):
-        shared = MemoryMicrobenchmark(MemoryLevel.SHARED)
-        l1 = MemoryMicrobenchmark(MemoryLevel.L1)
-        l2 = MemoryMicrobenchmark(MemoryLevel.L2)
-        dram = MemoryMicrobenchmark(MemoryLevel.DRAM)
-        assert shared.working_set_bytes < 48 * 1024
-        assert l1.working_set_bytes <= 32 * 1024
-        assert l2.working_set_bytes <= 1536 * 1024
-        assert dram.working_set_bytes > 1536 * 1024
-
     def test_latencies_increase_down_the_hierarchy(self):
         latencies = [
             chase_latency_cycles(level)

@@ -1,39 +1,9 @@
-"""NVML-like sensor: windowing, quantization, short-ROI blending."""
+"""NVML-like sensor: quantization and short-ROI blending."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.power.sensor import Phase, PowerSensor, SensorConfig
-
-
-class TestWaveformSampling:
-    def test_constant_waveform(self):
-        sensor = PowerSensor(SensorConfig(quantization_w=0.0))
-        samples = sensor.sample_waveform([Phase(0.045, 100.0)])
-        assert samples == pytest.approx([100.0, 100.0, 100.0])
-
-    def test_window_averaging(self):
-        sensor = PowerSensor(SensorConfig(quantization_w=0.0))
-        # One window: half at 50 W, half at 150 W -> reads 100 W.
-        samples = sensor.sample_waveform(
-            [Phase(0.0075, 50.0), Phase(0.0075, 150.0)]
-        )
-        assert samples == pytest.approx([100.0])
-
-    def test_partial_final_window(self):
-        sensor = PowerSensor(SensorConfig(quantization_w=0.0))
-        samples = sensor.sample_waveform([Phase(0.0225, 80.0)])
-        assert len(samples) == 2
-        assert samples == pytest.approx([80.0, 80.0])
-
-    def test_quantization(self):
-        sensor = PowerSensor(SensorConfig(quantization_w=1.0))
-        samples = sensor.sample_waveform([Phase(0.015, 100.4)])
-        assert samples == [100.0]
-
-    def test_empty_waveform_rejected(self):
-        with pytest.raises(ConfigError):
-            PowerSensor().sample_waveform([])
+from repro.power.sensor import PowerSensor, SensorConfig
 
 
 class TestRoiMeasurement:
@@ -75,9 +45,3 @@ class TestValidation:
             SensorConfig(refresh_period_s=0.0)
         with pytest.raises(ConfigError):
             SensorConfig(quantization_w=-1.0)
-
-    def test_bad_phase(self):
-        with pytest.raises(ConfigError):
-            Phase(-1.0, 100.0)
-        with pytest.raises(ConfigError):
-            Phase(1.0, -5.0)

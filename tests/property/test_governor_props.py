@@ -125,12 +125,12 @@ class TestResidencyInvariants:
     @given(residency=residencies())
     @settings(max_examples=80, deadline=None)
     def test_fractions_sum_to_one_per_domain(self, residency):
-        for domain_histograms in residency.domain_fractions().values():
-            for fractions in domain_histograms:
-                if fractions:  # empty histogram -> domain never ran
-                    # Exact, not approximate: summing in iteration order
-                    # computes s + fl(1.0 - s), which rounds to 1.0.
-                    assert sum(fractions.values()) == 1.0
+        for hist in (*residency.core, residency.dram, residency.interconnect):
+            fractions = hist.fractions()
+            if fractions:  # empty histogram -> domain never ran
+                # Exact, not approximate: summing in iteration order
+                # computes s + fl(1.0 - s), which rounds to 1.0.
+                assert sum(fractions.values()) == 1.0
 
     @given(residency=residencies())
     @settings(max_examples=40, deadline=None)

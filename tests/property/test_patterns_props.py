@@ -20,11 +20,6 @@ class TestHashProperties:
     def test_splitmix_stays_in_64_bits(self, key):
         assert 0 <= patterns.splitmix64(key) < (1 << 64)
 
-    @given(keys, st.integers(min_value=1, max_value=10**6))
-    @settings(max_examples=200, deadline=None)
-    def test_uniform_index_bounds(self, key, n):
-        assert 0 <= patterns.uniform_index(key, n) < n
-
     @given(st.lists(keys, min_size=1, max_size=64))
     @settings(max_examples=50, deadline=None)
     def test_vectorized_hash_matches_elementwise(self, key_list):

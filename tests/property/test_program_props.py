@@ -1,49 +1,63 @@
-"""Property-based tests on warp-program structure and instruction folding."""
+"""Property-based tests on warp-program and segment structure."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.instructions import Instruction
-from repro.isa.opcodes import COMPUTE_OPCODES, Opcode
+from repro.isa.opcodes import COMPUTE_OPCODES
 from repro.isa.program import MemAccess, Segment, WarpProgram
 
 compute_ops = st.sampled_from(COMPUTE_OPCODES)
-instruction_lists = st.lists(
-    st.one_of(
-        compute_ops.map(Instruction),
-        st.integers(min_value=0, max_value=1 << 20).map(
-            lambda line: Instruction(Opcode.LDG, address=line * 128, size=128)
+accesses = st.lists(
+    st.builds(
+        MemAccess,
+        address=st.integers(min_value=0, max_value=1 << 20).map(
+            lambda line: line * 128
         ),
-        st.integers(min_value=0, max_value=1 << 20).map(
-            lambda line: Instruction(Opcode.STG, address=line * 128, size=128)
+        size=st.just(128),
+        is_store=st.booleans(),
+    ),
+    max_size=4,
+).map(tuple)
+segment_lists = st.lists(
+    st.builds(
+        Segment,
+        compute=st.dictionaries(
+            compute_ops, st.integers(min_value=0, max_value=16), max_size=4
         ),
+        accesses=accesses,
     ),
     min_size=1,
-    max_size=64,
+    max_size=16,
 )
 
 
 class TestFoldingProperties:
-    @given(instruction_lists)
-    @settings(max_examples=100, deadline=None)
-    def test_instruction_count_preserved(self, instructions):
-        program = WarpProgram.from_instructions(instructions)
-        assert program.total_instructions == len(instructions)
+    """Program totals fold the per-segment counts, in segment order."""
 
-    @given(instruction_lists)
+    @given(segment_lists)
     @settings(max_examples=100, deadline=None)
-    def test_access_count_preserved(self, instructions):
-        program = WarpProgram.from_instructions(instructions)
-        memory_count = sum(1 for i in instructions if i.opcode.is_memory)
-        assert program.total_accesses == memory_count
+    def test_instruction_count_preserved(self, segments):
+        program = WarpProgram(segments)
+        assert program.total_instructions == sum(
+            sum(segment.compute.values()) + len(segment.accesses)
+            for segment in segments
+        )
 
-    @given(instruction_lists)
+    @given(segment_lists)
     @settings(max_examples=100, deadline=None)
-    def test_access_order_preserved(self, instructions):
-        program = WarpProgram.from_instructions(instructions)
+    def test_access_count_preserved(self, segments):
+        program = WarpProgram(segments)
+        assert program.total_accesses == sum(
+            len(segment.accesses) for segment in segments
+        )
+
+    @given(segment_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_access_order_preserved(self, segments):
+        program = WarpProgram(segments)
         original = [
-            (i.address, i.is_store)
-            for i in instructions
-            if i.opcode.is_memory
+            (a.address, a.is_store)
+            for segment in segments
+            for a in segment.accesses
         ]
         folded = [
             (a.address, a.is_store)
@@ -52,11 +66,11 @@ class TestFoldingProperties:
         ]
         assert folded == original
 
-    @given(instruction_lists)
+    @given(segment_lists)
     @settings(max_examples=100, deadline=None)
-    def test_issue_slots_at_least_instruction_count(self, instructions):
+    def test_issue_slots_at_least_instruction_count(self, segments):
         """Issue weights are >= 1, so slots bound instructions from above."""
-        program = WarpProgram.from_instructions(instructions)
+        program = WarpProgram(segments)
         total_slots = sum(segment.issue_slots for segment in program)
         assert total_slots >= program.total_instructions - 1e-9
 

@@ -127,8 +127,7 @@ class TestScreenContract:
             guard=guard,
         )
         assert chosen == grid  # grid order, all points
-        assert disposition.simulated_points == len(grid)
-        assert disposition.skipped_points == 0
+        assert disposition.simulated_points == disposition.scored_points == len(grid)
 
     @settings(max_examples=25, deadline=None)
     @given(spec=specs(), num_gpms=gpm_counts)

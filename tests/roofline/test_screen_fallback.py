@@ -88,7 +88,7 @@ class TestExhaustiveFallback:
         selected, disposition = self._screen(flat_spec, table_iii_config(2))
         assert disposition.fallback is None
         assert len(selected) == disposition.simulated_points == 1
-        assert disposition.skipped_points == len(POINTS) - 1
+        assert disposition.scored_points == len(POINTS)
 
 
 class TestPredictorRefusal:

@@ -191,7 +191,7 @@ class TestByteIdentity:
         assert json.dumps(manifest.to_json()) == json.dumps(want)
         path = manifest.write(tmp_path / "key.manifest.json")
         expected = io.StringIO()
-        json.dump(want, expected, indent=2, sort_keys=True)
+        json.dump(want, expected)
         assert path.read_bytes() == expected.getvalue().encode()
 
 

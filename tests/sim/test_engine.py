@@ -285,22 +285,6 @@ class TestDispatchOrdering:
         engine.run()
         assert order == ["a", "b", "c"]
 
-    def test_add_callback_on_triggered_event_runs_after_queued_work(self):
-        # Regression: registering a callback on an already-triggered event
-        # must resume through the now queue, behind work queued earlier at
-        # the same time — and without touching the timer heap (the clock
-        # never advances past the trigger time).
-        engine = Engine()
-        event = engine.event()
-        order = []
-        engine.schedule(2.0, lambda _v: event.succeed("late"))
-        engine.run()
-        engine.schedule(0.0, lambda _v: order.append("queued-first"))
-        event.add_callback(lambda value: order.append(value))
-        engine.run()
-        assert order == ["queued-first", "late"]
-        assert engine.now == 2.0
-
     def test_call_at_takes_the_slot_of_wait_until(self):
         # A chain of call_at stages must interleave with other work exactly
         # as a process yielding wait_until on the same targets does: same

@@ -166,16 +166,8 @@ class TestUtilizationTracker:
         tracker.end(5.0)
         assert tracker.busy_cycles == 0.0
 
-    def test_direct_credit(self):
-        tracker = UtilizationTracker()
-        tracker.add_busy(30.0)
-        assert tracker.idle_cycles(40.0) == pytest.approx(10.0)
-
-    def test_negative_credit_rejected(self):
-        with pytest.raises(ValueError):
-            UtilizationTracker().add_busy(-1.0)
-
     def test_idle_clamped_at_zero(self):
         tracker = UtilizationTracker()
-        tracker.add_busy(50.0)
+        tracker.begin(0.0)
+        tracker.end(50.0)
         assert tracker.idle_cycles(elapsed=40.0) == 0.0

@@ -18,9 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: DEFAULT_CLOCK_HZ.  Maps name -> position of the clock argument.
 CLOCKED_FUNCTIONS = {
     "cycles_to_seconds": 1,
-    "seconds_to_cycles": 1,
     "gbps_to_bytes_per_cycle": 1,
-    "bytes_per_cycle_to_gbps": 1,
 }
 
 

@@ -8,11 +8,6 @@ from repro import units
 
 
 class TestConversions:
-    def test_cycles_to_seconds_roundtrip(self):
-        cycles = 1_000_000.0
-        seconds = units.cycles_to_seconds(cycles)
-        assert units.seconds_to_cycles(seconds) == pytest.approx(cycles)
-
     def test_cycles_to_seconds_uses_clock(self):
         assert units.cycles_to_seconds(1e9, clock_hz=1e9) == pytest.approx(1.0)
 
@@ -20,17 +15,12 @@ class TestConversions:
         with pytest.raises(ValueError):
             units.cycles_to_seconds(1.0, clock_hz=0.0)
         with pytest.raises(ValueError):
-            units.seconds_to_cycles(1.0, clock_hz=-1.0)
+            units.cycles_to_seconds(1.0, clock_hz=-1.0)
 
     def test_gbps_to_bytes_per_cycle(self):
         # 256 GB/s at 745 MHz is ~343.6 bytes per cycle.
         bpc = units.gbps_to_bytes_per_cycle(256.0)
         assert bpc == pytest.approx(256e9 / 745e6)
-
-    def test_gbps_roundtrip(self):
-        assert units.bytes_per_cycle_to_gbps(
-            units.gbps_to_bytes_per_cycle(300.0)
-        ) == pytest.approx(300.0)
 
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(ValueError):
@@ -38,7 +28,6 @@ class TestConversions:
 
     def test_energy_conversions(self):
         assert units.nj(5.45) == pytest.approx(5.45e-9)
-        assert units.pj(0.54) == pytest.approx(0.54e-12)
 
     def test_pj_per_bit_to_joules_per_byte(self):
         # 10 pJ/bit over one byte = 80 pJ.
@@ -86,15 +75,6 @@ class TestStatistics:
 
 
 class TestIntegerHelpers:
-    def test_align_down(self):
-        assert units.align_down(130, 128) == 128
-        assert units.align_down(128, 128) == 128
-        assert units.align_down(127, 128) == 0
-
-    def test_align_down_rejects_bad_alignment(self):
-        with pytest.raises(ValueError):
-            units.align_down(100, 0)
-
     def test_is_power_of_two(self):
         assert units.is_power_of_two(1)
         assert units.is_power_of_two(4096)

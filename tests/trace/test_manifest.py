@@ -1,5 +1,7 @@
 """Unit tests for run provenance manifests."""
 
+import gc
+import json
 from pathlib import Path
 
 from repro.trace import MANIFEST_SCHEMA_VERSION, RunManifest, host_info
@@ -43,6 +45,29 @@ class TestRunManifest:
         assert RunManifest.read(path) == manifest
         # Atomic write leaves no temp file behind.
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_indented_manifest_still_reads(self, tmp_path):
+        # Caches filled before manifests were written compactly hold
+        # indented, key-sorted files; they must keep loading.
+        manifest = _manifest()
+        path = tmp_path / "old.manifest.json"
+        path.write_text(json.dumps(manifest.to_json(), indent=2, sort_keys=True))
+        assert RunManifest.read(path) == manifest
+
+    def test_write_leaves_no_cyclic_garbage(self, tmp_path):
+        # The C encoder allocates no closures; the pure-Python one (selected
+        # by ``indent``) leaves cyclic garbage behind on every write.
+        manifest = _manifest()
+        manifest.write(tmp_path / "warm.manifest.json")  # deferred imports
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            manifest.write(tmp_path / "run.manifest.json")
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_from_json_tolerates_missing_optional_fields(self):
         data = _manifest().to_json()

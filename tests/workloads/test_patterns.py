@@ -1,7 +1,6 @@
 """Deterministic access-pattern primitives."""
 
 import numpy as np
-import pytest
 
 from repro.workloads import patterns
 
@@ -31,73 +30,3 @@ class TestSplitmix:
         b = patterns.splitmix64_array(states)
         assert (a == b).all()
 
-
-class TestUniform:
-    def test_uniform_index_in_range(self):
-        for key in range(1000):
-            index = patterns.uniform_index(key, 37)
-            assert 0 <= index < 37
-
-    def test_uniform_index_roughly_uniform(self):
-        counts = [0] * 8
-        for key in range(8000):
-            counts[patterns.uniform_index(key, 8)] += 1
-        assert min(counts) > 800
-        assert max(counts) < 1200
-
-    def test_uniform_indices_vectorized_in_range(self):
-        keys = np.arange(1000, dtype=np.uint64)
-        indices = patterns.uniform_indices(keys, 13)
-        assert indices.min() >= 0
-        assert indices.max() < 13
-
-    def test_bad_n_rejected(self):
-        with pytest.raises(ValueError):
-            patterns.uniform_index(1, 0)
-
-
-class TestOffsets:
-    def test_stream_wraps(self):
-        region = 1024
-        offsets = [
-            patterns.stream_offset(pos, region, 128) for pos in range(16)
-        ]
-        assert offsets[:8] == [i * 128 for i in range(8)]
-        assert offsets[8] == 0  # wrapped
-
-    def test_strided_covers_region(self):
-        region = 8 * 128
-        visited = {
-            patterns.strided_offset(pos, region, 128, stride_lines=3)
-            for pos in range(8)
-        }
-        assert len(visited) == 8  # stride 3 co-prime with 8 lines
-
-    def test_hot_block_bounded(self):
-        for key in range(100):
-            offset = patterns.hot_block_offset(key, 4096, 128)
-            assert 0 <= offset < 4096
-            assert offset % 128 == 0
-
-    def test_random_offset_bounded(self):
-        for key in range(100):
-            offset = patterns.random_offset(key, 1 << 20, 128)
-            assert 0 <= offset < (1 << 20)
-
-    def test_degenerate_region(self):
-        assert patterns.stream_offset(5, 64, 128) == 0
-
-
-class TestNeighbor:
-    def test_interior_cta_gets_adjacent(self):
-        for key in range(50):
-            partner = patterns.neighbor_cta(10, 100, key)
-            assert partner in (9, 11)
-
-    def test_edge_clamped_inward(self):
-        for key in range(50):
-            assert patterns.neighbor_cta(0, 100, key) == 1
-            assert patterns.neighbor_cta(99, 100, key) == 98
-
-    def test_single_cta(self):
-        assert patterns.neighbor_cta(0, 1, 123) == 0
