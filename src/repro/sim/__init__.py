@@ -4,8 +4,10 @@ The performance simulator is built on a small, dependency-free discrete-event
 kernel:
 
 * :class:`~repro.sim.engine.Engine` — the event heap and simulation clock.
-* :class:`~repro.sim.engine.Process` — generator-based coroutines that model
-  warps, CTA dispatchers, and other active agents.
+* :class:`~repro.sim.engine.Process` — generator-based coroutines for the
+  workload driver and each GPM's kernel share; the per-warp and per-line
+  agents (warps, CTA slots, remote loads and stores) are slotted
+  :class:`~repro.sim.engine.Event` continuations instead.
 * :mod:`~repro.sim.resources` — analytic FCFS bandwidth servers and latency
   stations used for SM issue slots, DRAM channels, and interconnect links.
 * :mod:`~repro.sim.stats` — lightweight online statistics used by counters.

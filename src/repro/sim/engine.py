@@ -1,8 +1,10 @@
-"""A minimal generator-coroutine discrete-event engine.
+"""A minimal discrete-event engine: generator processes and continuations.
 
 The engine is intentionally small: a binary-heap event queue, a zero-delay
-*now queue*, a monotonically advancing clock measured in core cycles, and
-processes expressed as Python generators.  A process yields *commands* and is
+*now queue*, and a monotonically advancing clock measured in core cycles.
+Work reaches it in two forms.
+
+*Processes* are Python generators.  A process yields *commands* and is
 resumed when the command completes:
 
 ``yield Timeout(delay)``
@@ -15,12 +17,26 @@ resumed when the command completes:
     Resume when every listed event has succeeded.
 
 Resources (see :mod:`repro.sim.resources`) return absolute completion times;
-processes convert those into timeouts via :meth:`Engine.wait_until`.
+processes convert those into timeouts via :meth:`Engine.wait_until`.  The
+workload driver and each GPM's kernel share run as processes.
+
+*Continuations* are slotted :class:`Event` subclasses whose bound-method
+stages the engine calls directly: a stage puts its successor on the now
+queue, on the heap (:meth:`Engine.call_at`), or on another event's callback
+list.  Each stage takes exactly the slot the equivalent ``yield`` would
+take, so replacing a process with a continuation keeps the ``(time, seq)``
+order and ``events_processed`` while skipping the generator, its ``done``
+event and its name.  The per-warp and per-line agents are continuations:
+warps (:class:`repro.sm.warp.Warp`), CTA slots
+(:class:`repro.sm.scheduler.CtaSlot`) and remote loads and stores
+(:mod:`repro.memory.hierarchy`).  Each is itself the event its waiter
+waits on.
 
 The design trades generality for speed: there is no process interruption, no
 event cancellation, and no priority levels — none of which the GPU model
-needs — so the hot path is a heap pop (or deque pop) plus a generator
-``send``.  Three structural optimizations keep the per-event cost low:
+needs — so the hot path is a heap pop (or deque pop) plus one call: a
+continuation's stage, or a process's generator ``send``.  Three structural
+optimizations keep the per-event cost low:
 
 * **Now queue.**  Zero-delay work — process starts, ``Event.succeed``
   fan-out, waits on already-triggered events — goes through a plain deque
@@ -34,7 +50,9 @@ needs — so the hot path is a heap pop (or deque pop) plus a generator
   run once per distinct time, not once per event.
 * **Counting barriers.**  ``AllOf`` waits register one shared bound-method
   callback that decrements a counter on the waiting process — no per-wait
-  closure, no materialized waiter list.
+  closure, no materialized waiter list.  Continuations that wait on several
+  events (a warp on its remote loads, a CTA slot on its warps) use the same
+  scheme.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Streaming-multiprocessor model: warps, schedulers, and the SM core."""
+"""Streaming-multiprocessor model: warps, CTA slots, and the SM core."""
 
-from repro.sm.warp import WarpContext, WarpState
-from repro.sm.scheduler import CtaSlotScheduler
+from repro.sm.warp import Warp
+from repro.sm.scheduler import CtaSlot, CtaSlotScheduler
 from repro.sm.smcore import SmCore
 
-__all__ = ["WarpContext", "WarpState", "CtaSlotScheduler", "SmCore"]
+__all__ = ["Warp", "CtaSlot", "CtaSlotScheduler", "SmCore"]

@@ -1,11 +1,20 @@
-"""Warp execution contexts.
+"""Warps run as engine continuations.
 
 A warp advances segment by segment (see :mod:`repro.isa.program`): it reserves
 issue slots on its SM, prices all of the segment's memory accesses in one call
 down the GPM memory path, then sleeps until the slowest dependency resolves.
-Each segment costs exactly one simulation event.
 
-The warp keeps only progress counts (instructions and segments executed).
+A :class:`Warp` is not a generator process.  Like the remote memory path's
+:class:`~repro.memory.hierarchy.RemoteLoad`, it is a slotted
+:class:`~repro.sim.engine.Event` whose bound-method stages the engine calls
+directly, and each stage takes exactly the heap or now-queue slot the
+generator process it replaced took: its start goes through the now queue,
+its sleep until a segment's analytic completion is a heap entry at
+``now + (completion - now)``, and its wait on a segment's remote loads is a
+single-event wait or a counting barrier.  So ``(time, seq)`` order and
+``events_processed`` are those of the generator, and the warp is itself
+the event its CTA slot waits on.
+
 Idle accounting, which feeds the EPStall energy term, is done at the SM level
 (issue-server busy time vs. elapsed time), because warp-private wait time
 overlaps across warps and must not be double counted.
@@ -13,125 +22,161 @@ overlaps across warps and must not be double counted.
 
 from __future__ import annotations
 
-import enum
-from collections.abc import Generator
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.isa.program import WarpProgram
-from repro.sim.engine import AllOf, Timeout
+from repro.sim.engine import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.sm.smcore import SmCore
+    from repro.sm.scheduler import CtaSlot
 
 
-class WarpState(enum.Enum):
-    """Lifecycle of a warp context."""
+class Warp(Event):
+    """One resident warp of a CTA, run on its slot's SM.
 
-    READY = "ready"
-    RUNNING = "running"
-    FINISHED = "finished"
-
-
-class WarpContext:
-    """One resident warp: identity, program, and progress statistics.
-
-    Contexts are poolable: a CTA slot runs its CTAs serially, so the
-    scheduler keeps one context per resident-warp slot and :meth:`reset`\\ s
-    it for each new CTA instead of allocating ``ctas x warps_per_cta``
-    contexts (plus their scratch buffers) over a kernel's lifetime.
+    Execution is software-pipelined one segment deep, mirroring how GPU
+    compilers hoist the next iteration's loads above the current iteration's
+    consumers: segment ``k+1`` issues while segment ``k``'s memory is still
+    in flight, so a warp tolerates one full memory round trip beyond its
+    per-segment MLP.  Each :meth:`_issue` issues one segment and then drains
+    the previous one: a sleep until its analytic completion
+    (:meth:`_timed_out` resumes), then a wait on its remote loads
+    (:meth:`_drained` resumes).  The first segment's "previous" is empty, so
+    the first two segments issue in the warp's first step.
     """
 
     __slots__ = (
+        "slot",
         "cta_id",
         "warp_id",
-        "program",
-        "state",
-        "instructions_executed",
-        "segments_executed",
-        "_timeout",
-        "_pending",
+        "segments",
+        "spawned_at",
+        "_index",
+        "_completion",
+        "_events",
+        "_prev_completion",
         "_prev_events",
+        "_waiting",
     )
 
-    def __init__(self, cta_id: int, warp_id: int, program: WarpProgram):
-        # Scratch reused across every body() this context ever runs: the
-        # engine consumes a yielded Timeout synchronously and AllOf copies
-        # its event list, so one mutable timeout and two ping-pong pending
-        # buffers serve a whole program without per-segment allocation —
-        # and, pooled, without per-CTA allocation either.
-        self._timeout = Timeout(0.0)
-        self._pending: list = []
-        self._prev_events: list = []
-        self.reset(cta_id, warp_id, program)
-
-    def reset(self, cta_id: int, warp_id: int, program: WarpProgram) -> None:
-        """Rebind this context to a new (CTA, warp) and clear its stats."""
+    def __init__(
+        self, slot: "CtaSlot", cta_id: int, warp_id: int, program: WarpProgram
+    ):
+        engine = slot.engine
+        # Event's own fields, set here rather than through Event.__init__:
+        # one call fewer per warp.
+        self.engine = engine
+        self._callbacks = []
+        self.triggered = False
+        self.value = None
+        self.slot = slot
         self.cta_id = cta_id
         self.warp_id = warp_id
-        self.program = program
-        self.state = WarpState.READY
-        self.instructions_executed = 0
-        self.segments_executed = 0
+        self.segments = program.segments
+        self.spawned_at = engine.now
+        self._index = 0
+        self._prev_completion = 0.0
+        self._prev_events: list = []
+        engine._nowq.append((self._issue, None))
 
-    def body(self, sm: "SmCore") -> Generator:
-        """Process generator executing this warp on ``sm``.
-
-        Execution is software-pipelined one segment deep, mirroring how GPU
-        compilers hoist the next iteration's loads above the current
-        iteration's consumers: segment ``k+1`` issues while segment ``k``'s
-        memory is still in flight, so a warp tolerates one full memory round
-        trip beyond its per-segment MLP.
-        """
-        engine = sm.engine
-        reserve = sm.issue.reserve
-        # One call per segment straight into the GPM memory path, which
-        # prices every access and appends remote loads to ``pending``.
-        access_segment = sm.memory.access_segment
-        local_index = sm.local_index
-        count_compute = sm.counters.count_compute_map
-        # Pooled scratch (see __init__): cleared here because a recycled
-        # context may carry the previous CTA's drained event lists.
-        timeout = self._timeout
-        pending = self._pending
-        prev_events = self._prev_events
-        pending.clear()
-        prev_events.clear()
-        self.state = WarpState.RUNNING
-        prev_completion = 0.0
-        prev_waiting = False
-        for segment in self.program:
-            issue_done = reserve(segment.issue_slots)
-            count_compute(segment.compute)
-            pending.clear()
-            completion = access_segment(
-                local_index, segment.accesses, issue_done, pending
-            )
-            self.instructions_executed += segment.total_instructions
-            self.segments_executed += 1
-            # Drain the PREVIOUS segment before moving past this one.
-            if prev_completion > engine.now:
-                timeout.delay = prev_completion - engine.now
-                yield timeout
-            if prev_waiting:
-                if len(prev_events) == 1:
-                    yield prev_events[0]
-                else:
-                    yield AllOf(prev_events)
-            prev_completion = completion
-            prev_waiting = bool(pending)
-            pending, prev_events = prev_events, pending
-        if prev_completion > engine.now:
-            timeout.delay = prev_completion - engine.now
-            yield timeout
-        if prev_waiting:
-            if len(prev_events) == 1:
-                yield prev_events[0]
+    def _issue(self, _value: Any) -> None:
+        """Issue the next segment, then drain the previous one."""
+        engine = self.engine
+        slot = self.slot
+        segments = self.segments
+        while True:
+            index = self._index
+            if index < len(segments):
+                segment = segments[index]
+                self._index = index + 1
+                issue_done = slot.reserve(segment.issue_slots)
+                slot.count_compute(segment.compute)
+                # One call per segment straight into the GPM memory path,
+                # which prices every access and appends each remote load it
+                # starts to ``events``.
+                events: list = []
+                self._completion = slot.access_segment(
+                    slot.local_index, segment.accesses, issue_done, events
+                )
+                self._events = events
             else:
-                yield AllOf(prev_events)
-        self.state = WarpState.FINISHED
+                self._events = None
+            completion = self._prev_completion
+            if completion > engine.now:
+                # The heap entry at now + (completion - now) that the
+                # generator's Timeout took.
+                engine.call_at(completion, self._timed_out)
+                return
+            if self._prev_events:
+                self._wait(self._prev_events)
+                return
+            # The previous segment is drained without a wait: go on in this
+            # same step, as the generator did.
+            events = self._events
+            if events is None:
+                self._finish()
+                return
+            self._prev_completion = self._completion
+            self._prev_events = events
+
+    def _timed_out(self, _value: Any) -> None:
+        """The previous segment's analytic completion time has come."""
+        if self._prev_events:
+            self._wait(self._prev_events)
+        else:
+            self._drained(None)
+
+    def _wait(self, events: list) -> None:
+        """Wait on the previous segment's remote loads.
+
+        One load is a plain event wait; several share a counting barrier,
+        :meth:`_barrier_hit`, which resumes the warp when the last succeeds.
+        An already-succeeded event resumes the warp through the now queue.
+        """
+        if len(events) == 1:
+            event = events[0]
+            if event.triggered:
+                self.engine._nowq.append((self._drained, event.value))
+            else:
+                event._callbacks.append(self._drained)
+            return
+        barrier = self._barrier_hit
+        waiting = 0
+        for event in events:
+            if not event.triggered:
+                event._callbacks.append(barrier)
+                waiting += 1
+        if waiting == 0:
+            self.engine._nowq.append((self._drained, None))
+        else:
+            self._waiting = waiting
+
+    def _barrier_hit(self, _value: Any) -> None:
+        self._waiting -= 1
+        if self._waiting == 0:
+            self._drained(None)
+
+    def _drained(self, _value: Any) -> None:
+        """The previous segment is done: issue on, or retire the warp."""
+        events = self._events
+        if events is None:
+            self._finish()
+            return
+        self._prev_completion = self._completion
+        self._prev_events = events
+        self._issue(None)
+
+    def _finish(self) -> None:
+        engine = self.engine
+        tracer = engine.tracer
+        if tracer.enabled:
+            tracer.complete(
+                "engine",
+                f"cta{self.cta_id}.w{self.warp_id}",
+                self.spawned_at,
+                engine.now - self.spawned_at,
+            )
+        self.succeed()
 
     def __repr__(self) -> str:
-        return (
-            f"WarpContext(cta={self.cta_id}, warp={self.warp_id},"
-            f" state={self.state.value})"
-        )
+        return f"Warp(cta={self.cta_id}, warp={self.warp_id})"

@@ -64,8 +64,9 @@ class TestScheduling:
         assert engine.now == 0.0
 
     def test_only_slots_that_get_a_cta_start(self):
-        """3 CTAs on 2 SMs x 4 slots: three slot processes start, all on
-        SM 0, which runs all three CTAs."""
+        """3 CTAs on 2 SMs x 4 slots: three slots start, all on SM 0,
+        which runs all three CTAs; each started slot leaves one engine
+        span, and each warp one more."""
         tracer = ChromeTracer()
         engine = Engine(tracer=tracer)
         gpm = build_gpm(engine, num_sms=2, slots=4)
@@ -79,6 +80,11 @@ class TestScheduling:
             if event["tid"] == engine_tid and ".slot" in event["name"]
         ]
         assert sorted(slot_spans) == ["sm0.slot0", "sm0.slot1", "sm0.slot2"]
+        warp_spans = [
+            event["name"] for event in tracer.events()
+            if event["tid"] == engine_tid and event["name"].startswith("cta")
+        ]
+        assert sorted(warp_spans) == ["cta0.w0", "cta1.w0", "cta2.w0"]
         assert gpm.sms[0].ctas_retired == 3
         assert gpm.sms[1] is None  # never built
         assert gpm.scheduler.ctas_finished == 3
