@@ -154,6 +154,12 @@ class Cache:
         Returns:
             ``(hit, dirty_eviction)`` — ``dirty_eviction`` is True when the
             access displaced a dirty line that must be written downstream.
+
+        This is the one definition of a lookup.  The load path of
+        :meth:`GpmMemory.access_segment
+        <repro.memory.hierarchy.GpmMemory.access_segment>` repeats its load
+        branch in place on the L1 and the L2; the golden counters and the
+        differential pins hold that copy to it.
         """
         tag = address >> self._line_shift
         index = tag % self._num_sets

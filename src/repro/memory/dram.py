@@ -8,7 +8,10 @@ energy model, not here — the timing layer only reports transactions.
 
 Every read and write reserves the channel's FCFS server in place, with
 :meth:`~repro.sim.resources.BandwidthServer.reserve`'s arithmetic, so one
-division serves the reservation and the queueing metric alike.
+division serves the reservation and the queueing metric alike.  The warp's
+local load path (:meth:`GpmMemory.access_segment
+<repro.memory.hierarchy.GpmMemory.access_segment>`) repeats :meth:`read`
+in place; :meth:`DramChannel._service` stays the definition.
 """
 
 from __future__ import annotations

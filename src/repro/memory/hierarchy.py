@@ -18,7 +18,13 @@ This module implements the complete access flow for one GPM:
 
 A warp prices a whole segment in one call, :meth:`GpmMemory.access_segment`,
 whose loop runs every line's page-home lookup and L1 -> L2 -> DRAM/remote path
-inline, unaligned multi-line accesses included.
+inline, unaligned multi-line accesses included.  A load's L1 lookup, its L2
+lookup and fill, and a local DRAM read's reservation are done in place on
+the tag stores and the channel's server, with the arithmetic of
+:meth:`Cache.access <repro.memory.cache.Cache.access>` and
+:meth:`DramChannel._service <repro.memory.dram.DramChannel._service>`, which
+stay the definitions for every other caller: a local load that misses to
+DRAM makes one call, the DRAM queue metric's ``add``.
 
 Local paths are priced *analytically*: every stage carries the same constant
 pipeline offset, so reserving at ``earliest = issue + latency`` preserves FCFS
@@ -161,7 +167,11 @@ class GpmMemory:
         The page-home lookup and the whole L1 -> L2 -> DRAM/remote path of
         every line run inline in this one loop: at several accesses per
         segment, a call per stage per line would dominate the memory
-        layer's interpreter cost.
+        layer's interpreter cost.  Loads do the L1 and L2 lookups
+        (:meth:`Cache.access <repro.memory.cache.Cache.access>`) and the
+        local DRAM read (:meth:`DramChannel.read
+        <repro.memory.dram.DramChannel.read>`) in place; stores still call
+        :meth:`Cache.access` on the L2.
         """
         counters = self.counters
         latencies = self.latencies
@@ -179,6 +189,16 @@ class GpmMemory:
         if l1 is None:
             l1 = self.l1(sm_index)
         l2 = self.l2
+        # The load path's L1 and L2 lookups are Cache.access for a load,
+        # done in place on the two tag stores (see the loop).
+        l1_shift = l1._line_shift
+        l1_sets = l1._sets
+        l1_num_sets = l1._num_sets
+        l1_stats = l1.stats
+        l2_shift = l2._line_shift
+        l2_sets = l2._sets
+        l2_num_sets = l2._num_sets
+        l2_stats = l2.stats
         trace = self._trace
         # Enum member lookups go through a descriptor: resolve once per call.
         shared = MemSpace.SHARED
@@ -229,33 +249,100 @@ class GpmMemory:
                         # the warp does not wait, but the drain reserves
                         # each resource at actual arrival time.
                         RemoteStore(self, home, at_l2)
-                elif l1.access(line_address, False, home)[0]:
+                    if done > completion:
+                        completion = done
+                    continue
+
+                # L1 load lookup: Cache.access(line_address, False, home).
+                tag = line_address >> l1_shift
+                index = tag % l1_num_sets
+                ways = l1_sets[index]
+                if ways is None:
+                    ways = l1_sets[index] = []
+                elif tag in ways:
+                    if ways[0] != tag:
+                        ways.remove(tag)
+                        ways.insert(0, tag)
+                    l1_stats.read_hits += 1
                     counters.l1_hits += 1
-                    done = at_l2
-                else:
-                    counters.l1_misses += 1
-                    if trace:
-                        self._tracer.instant(self._track, "l1.miss", earliest)
-                    counters.l2_l1_txns += SECTORS_PER_LINE
-                    hit, dirty_evicted = l2.access(line_address, False, home)
-                    if dirty_evicted:
-                        self._writeback_local(at_l2)
-                    if hit:
-                        counters.l2_hits += 1
-                        done = after_l2
-                    else:
-                        counters.l2_misses += 1
-                        if trace:
-                            self._tracer.instant(
-                                self._track, "l2.miss", at_l2, args={"home": home}
-                            )
-                        if home != gpm_id:
-                            pending.append(
-                                RemoteLoad(self, line_address, home, after_l2)
-                            )
-                            continue
-                        counters.dram_l2_txns += SECTORS_PER_LINE
-                        done = self.dram.read(CACHE_LINE_BYTES, after_l2)
+                    if at_l2 > completion:
+                        completion = at_l2
+                    continue
+                l1_stats.read_misses += 1
+                if len(ways) >= l1._associativity:
+                    # The L1 never holds a dirty line (write-through, and
+                    # stores never reach it), so no eviction writes back.
+                    del l1._homes[ways.pop()]
+                    l1_stats.evictions += 1
+                ways.insert(0, tag)
+                l1._homes[tag] = home
+                counters.l1_misses += 1
+                if trace:
+                    self._tracer.instant(self._track, "l1.miss", earliest)
+                counters.l2_l1_txns += SECTORS_PER_LINE
+
+                # L2 load lookup and fill: Cache.access(line_address, False,
+                # home) on the write-back, write-allocate module L2.
+                tag = line_address >> l2_shift
+                index = tag % l2_num_sets
+                ways = l2_sets[index]
+                if ways is None:
+                    ways = l2_sets[index] = []
+                elif tag in ways:
+                    if ways[0] != tag:
+                        ways.remove(tag)
+                        ways.insert(0, tag)
+                    l2_stats.read_hits += 1
+                    counters.l2_hits += 1
+                    if after_l2 > completion:
+                        completion = after_l2
+                    continue
+                l2_stats.read_misses += 1
+                dirty_evicted = False
+                if len(ways) >= l2._associativity:
+                    victim = ways.pop()
+                    del l2._homes[victim]
+                    l2_stats.evictions += 1
+                    dirty = l2._dirty
+                    if victim in dirty:
+                        dirty.remove(victim)
+                        l2_stats.dirty_evictions += 1
+                        dirty_evicted = True
+                ways.insert(0, tag)
+                l2._homes[tag] = home
+                if dirty_evicted:
+                    self._writeback_local(at_l2)
+                counters.l2_misses += 1
+                if trace:
+                    self._tracer.instant(
+                        self._track, "l2.miss", at_l2, args={"home": home}
+                    )
+                if home != gpm_id:
+                    pending.append(RemoteLoad(self, line_address, home, after_l2))
+                    continue
+
+                # Local DRAM read: DramChannel.read(CACHE_LINE_BYTES,
+                # after_l2), its _service reservation done in place.
+                counters.dram_l2_txns += SECTORS_PER_LINE
+                dram = self.dram
+                dram.reads += 1
+                dram.bytes_read += CACHE_LINE_BYTES
+                server = dram.server
+                free_at = server.free_at
+                service = CACHE_LINE_BYTES / server.rate
+                finish = (free_at if free_at > after_l2 else after_l2) + service
+                server.free_at = finish
+                server.busy_time += service
+                server.units_served += CACHE_LINE_BYTES
+                server.requests += 1
+                queued = finish - service - after_l2
+                dram._queue_cycles.add(queued if queued > 0.0 else 0.0)
+                if dram._trace:
+                    dram._tracer.complete(
+                        dram.name, "read", finish - service, service,
+                        args={"bytes": CACHE_LINE_BYTES},
+                    )
+                done = finish + dram.config.latency_cycles
                 if done > completion:
                     completion = done
         return completion
