@@ -46,7 +46,8 @@ figures-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro figures --quick
 	PYTHONPATH=src $(PYTHON) -m repro.tools.figures_replay
 
-# Capture a small Chrome trace and validate it (see docs/OBSERVABILITY.md).
+# Capture a small Chrome trace and validate it: structure, plus one engine
+# span per warp and per started CTA slot (see docs/OBSERVABILITY.md).
 # PYTHONPATH=src keeps this working on boxes that skipped `make install`.
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro trace Stream --ctas 32 --gpms 4 --out .cache/trace-smoke.json

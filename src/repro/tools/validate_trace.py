@@ -7,7 +7,11 @@ Checks the structural invariants Perfetto / chrome://tracing rely on:
   keys (``ts``/``name``/``dur`` as applicable),
 * per-(pid, tid) duration events nest properly — every ``E`` closes an open
   ``B``, no span ends before it starts, and no track is left with open spans,
-* timestamps within each track's span stack are non-decreasing.
+* timestamps within each track's span stack are non-decreasing,
+* the ``engine`` track covers the simulation's agents: one span per warp
+  (``cta<c>.w<w>``), matching the CTAs started on the ``sm<i>.slot<j>``
+  tracks times each CTA's warp count, and one span per CTA slot started
+  (``sm<i>.slot<j>``), that is per slot and kernel that ran a CTA on it.
 
 When :mod:`jsonschema` is installed the file is additionally checked against
 a JSON Schema of the event envelope; without it the hand-rolled checks alone
@@ -22,6 +26,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
+from bisect import bisect_right
+from collections import Counter
 from pathlib import Path
 
 #: Phases repro's ChromeTracer emits.  Anything else is flagged.
@@ -62,6 +69,68 @@ TRACE_SCHEMA = {
     },
     "required": ["traceEvents"],
 }
+
+
+#: A CTA slot's track, and the engine span its start leaves.
+SLOT_TRACK = re.compile(r"sm\d+\.slot\d+")
+#: The engine span a warp leaves when it retires.
+WARP_SPAN = re.compile(r"cta\d+\.w\d+")
+
+
+def span_coverage_errors(events: list) -> list[str]:
+    """Check that the ``engine`` track has one span per warp and per slot.
+
+    Expected counts come from the trace's own CTA spans: each ``B`` event on
+    a ``sm<i>.slot<j>`` track starts one CTA named ``<kernel>/cta<c>`` with
+    ``args.warps`` warps, so warps ``cta<c>.w0`` .. ``cta<c>.w<warps-1>``
+    must each leave one ``engine`` span.  A slot starts once per kernel
+    launch (a ``B`` span on the ``gpu`` track) in which it ran a CTA, and
+    leaves one ``engine`` span named after its track each time.
+    """
+    tracks = {
+        event["tid"]: event["args"]["name"]
+        for event in events
+        if event["ph"] == "M" and event["name"] == "thread_name"
+    }
+    kernel_starts = sorted(
+        event["ts"] for event in events
+        if event["ph"] == "B" and tracks.get(event["tid"]) == "gpu"
+    )
+    want_warps: Counter = Counter()
+    slot_runs: set[tuple[str, int]] = set()
+    got_warps: Counter = Counter()
+    got_slots: Counter = Counter()
+    for event in events:
+        track = tracks.get(event["tid"])
+        if event["ph"] == "B" and track and SLOT_TRACK.fullmatch(track):
+            cta = event["name"].rsplit("/", 1)[-1]
+            for warp in range(event.get("args", {}).get("warps", 0)):
+                want_warps[f"{cta}.w{warp}"] += 1
+            slot_runs.add((track, bisect_right(kernel_starts, event["ts"])))
+        elif event["ph"] == "X" and track == "engine":
+            if WARP_SPAN.fullmatch(event["name"]):
+                got_warps[event["name"]] += 1
+            elif SLOT_TRACK.fullmatch(event["name"]):
+                got_slots[event["name"]] += 1
+    want_slots = Counter(track for track, _kernel in slot_runs)
+    errors = []
+    if got_warps != want_warps:
+        missing = sorted((want_warps - got_warps).elements())
+        extra = sorted((got_warps - want_warps).elements())
+        errors.append(
+            f"engine: {sum(got_warps.values())} warp spans, expected"
+            f" {sum(want_warps.values())} from the CTAs started;"
+            f" missing {missing[:5]}, unexpected {extra[:5]}"
+        )
+    if got_slots != want_slots:
+        missing = sorted((want_slots - got_slots).elements())
+        extra = sorted((got_slots - want_slots).elements())
+        errors.append(
+            f"engine: {sum(got_slots.values())} slot spans, expected"
+            f" {sum(want_slots.values())} (one per slot and kernel that ran"
+            f" a CTA); missing {missing[:5]}, unexpected {extra[:5]}"
+        )
+    return errors
 
 
 def _jsonschema_errors(data: object) -> list[str]:
@@ -145,6 +214,10 @@ def validate_trace(data: object) -> list[str]:
                 f"track {track}: span {name!r} opened at ts={ts} never closed"
             )
 
+    # Coverage reads the events' fields freely, so it runs only on a trace
+    # whose events are well formed.
+    if not errors:
+        errors.extend(span_coverage_errors(events))
     errors.extend(_jsonschema_errors(data))
     return errors
 

@@ -6,11 +6,13 @@ interconnect/DRAM) and populate the component metrics with the counts the
 workload structure implies.
 """
 
+import re
+
 import pytest
 
 from repro.gpu.simulator import simulate
 from repro.tools.regen_goldens import GOLDEN_CONFIGS, GOLDEN_SPECS
-from repro.tools.validate_trace import validate_trace
+from repro.tools.validate_trace import span_coverage_errors, validate_trace
 from repro.trace import ChromeTracer, MetricsRegistry
 from repro.workloads.generator import build_workload
 
@@ -67,6 +69,46 @@ class TestTraceCoverage:
         tracer, _, result = traced_run
         for event in tracer.events():
             assert 0.0 <= event["ts"] <= result.cycles + 1e-9
+
+
+class TestEngineSpanCoverage:
+    """`validate_trace` counts one engine span per warp and per started
+    slot, so an agent that retires without its span fails the check."""
+
+    def _without(self, tracer, pattern):
+        """The exported trace minus the first engine span matching
+        ``pattern``; returns the trace and the dropped span's name."""
+        data = tracer.export()
+        engine_tid = tracer._tids["engine"]
+        for index, event in enumerate(data["traceEvents"]):
+            if (
+                event["ph"] == "X" and event["tid"] == engine_tid
+                and re.fullmatch(pattern, event["name"])
+            ):
+                del data["traceEvents"][index]
+                return data, event["name"]
+        raise AssertionError(f"no engine span matches {pattern!r}")
+
+    def test_run_has_one_span_per_warp_and_slot(self, traced_run):
+        tracer, _, _ = traced_run
+        names = [e["name"] for e in _names_on(tracer, "engine", "X")]
+        warps = [name for name in names if re.fullmatch(r"cta\d+\.w\d+", name)]
+        assert len(warps) == SPEC.total_ctas * SPEC.warps_per_cta * SPEC.kernels
+        assert span_coverage_errors(tracer.export()["traceEvents"]) == []
+
+    def test_dropped_warp_span_fails(self, traced_run):
+        tracer, _, _ = traced_run
+        data, name = self._without(tracer, r"cta\d+\.w\d+")
+        errors = validate_trace(data)
+        assert len(errors) == 1
+        assert "warp spans" in errors[0] and name in errors[0]
+
+    def test_dropped_slot_span_fails(self, traced_run):
+        tracer, _, _ = traced_run
+        data, name = self._without(tracer, r"sm\d+\.slot\d+")
+        errors = validate_trace(data)
+        assert len(errors) == 1
+        assert "slot spans" in errors[0] and name in errors[0]
 
 
 class TestMetricsCoverage:
