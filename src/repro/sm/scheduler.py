@@ -80,13 +80,11 @@ class CtaSlotScheduler:
             for local in range(self.num_sms)
             for slot in range(self.slots_per_sm)
         )
-        started = []
-        if queue:
-            cta_cycles = self.engine.metrics.accumulator("sm.cta_cycles")
-            for local, slot in islice(slots, len(queue)):
-                started.append(
-                    CtaSlot(self, sm_at(local), slot, kernel, queue, cta_cycles)
-                )
+        cta_cycles = self.engine.metrics.accumulator("sm.cta_cycles")
+        started = [
+            CtaSlot(self, sm_at(local), slot, kernel, queue, cta_cycles)
+            for local, slot in islice(slots, len(queue))
+        ]
         yield AllOf(started)
 
 
